@@ -49,9 +49,13 @@
 #                  survivors must drain cleanly on SIGTERM; then a
 #                  fresh-seed chaos_soak --cluster run (kill + stall +
 #                  respawn under a seeded supervisor)
-#   tsan           TSan build + parallel bench smoke: the sweep engine's
-#                  worker pool and warm-cache read path under
-#                  -fsanitize=thread with THERMCTL_FAST=1
+#   tsan           TSan build + parallel smokes under -fsanitize=thread:
+#                  test_sweep and test_multicore (the parallelFor pool and
+#                  the windowed multicore engine), the sweep engine's
+#                  worker pool and warm-cache read path with
+#                  THERMCTL_FAST=1, and a 16-core budget-capped
+#                  percore-PID thermctl_run whose output must be
+#                  byte-identical to the plain build's
 #   fuzz-replay    corpus replay through the fuzz harnesses as plain
 #                  ctests; with clang++ present additionally a short
 #                  coverage-guided smoke (libFuzzer, -max_total_time=30
@@ -434,11 +438,13 @@ if want cluster-smoke; then
 fi
 
 if want tsan; then
-    stage "TSan parallel bench smoke"
+    stage "TSan parallel smokes (sweep pool, multicore parallelFor)"
     cmake -B "${base}/tsan" -S . "-DTHERMCTL_SANITIZE=thread"
     cmake --build "${base}/tsan" -j "${jobs}" \
-        --target test_sweep table4_characterization table6_structure_temps
-    ctest --test-dir "${base}/tsan" --output-on-failure -R test_sweep
+        --target test_sweep test_multicore thermctl_run \
+                 table4_characterization table6_structure_temps
+    ctest --test-dir "${base}/tsan" --output-on-failure \
+        -R '^(test_sweep|test_multicore)$'
     tsan_cache="$(mktemp -d)"
     trap 'rm -rf "${tsan_cache}"' EXIT
     # Cold run exercises the worker pool + cache writes; the second
@@ -450,6 +456,23 @@ if want tsan; then
     THERMCTL_FAST=1 THERMCTL_JOBS=8 THERMCTL_QUIET=1 \
         "${base}/tsan/bench/table6_structure_temps" \
         --cache-dir "${tsan_cache}" >/dev/null
+
+    # A 16-core chip ticks its cores in parallel within each sample
+    # window: race-free under TSan, and byte-identical to the plain
+    # (invariants-on) build, whatever either machine's pool width.
+    cmake -B "${base}/plain" -S . \
+        -DTHERMCTL_WERROR=ON -DTHERMCTL_INVARIANTS=ON >/dev/null
+    cmake --build "${base}/plain" -j "${jobs}" --target thermctl_run
+    chip_flags="--bench 176.gcc --cores 16 --policy percore-PID \
+        --budget 160 --warmup 2000 --cycles 20000 --no-cache"
+    # shellcheck disable=SC2086
+    "${base}/tsan/tools/thermctl_run" ${chip_flags} \
+        >"${tsan_cache}/chip.tsan"
+    # shellcheck disable=SC2086
+    "${base}/plain/tools/thermctl_run" ${chip_flags} \
+        >"${tsan_cache}/chip.plain"
+    cmp "${tsan_cache}/chip.tsan" "${tsan_cache}/chip.plain"
+    rm -rf "${tsan_cache}"
     trap - EXIT
 fi
 

@@ -1,0 +1,39 @@
+/**
+ * @file
+ * Fork-join over a process-wide helper pool: parallelFor(n, fn).
+ *
+ * The pool holds hardware_concurrency() - 1 helper threads, created on
+ * the first parallelFor call that has more than one index (never during
+ * static initialisation, so a process may fork freely before its first
+ * use) and never destroyed. Idle helpers sleep on a CondVar.
+ *
+ * The calling thread claims indices alongside the helpers, so a call
+ * always finishes even when every helper is busy elsewhere: concurrent
+ * callers (sweep jobs, serve dispatchers) share the helpers, and a
+ * nested call from inside fn cannot deadlock. With no helpers (one CPU)
+ * or a single index, every index runs on the caller.
+ */
+
+#ifndef THERMCTL_COMMON_PARALLEL_HH
+#define THERMCTL_COMMON_PARALLEL_HH
+
+#include <cstddef>
+#include <functional>
+
+namespace thermctl
+{
+
+/**
+ * Run fn(i) once for every i in [0, n); return when all have finished.
+ *
+ * Which thread runs an index is unspecified, so fn(i) must touch only
+ * state owned by index i (or synchronise itself). Everything fn wrote
+ * is visible to the caller on return. The first exception thrown by
+ * any fn(i) is rethrown here after every started index has returned;
+ * indices not yet started when it was thrown are skipped.
+ */
+void parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn);
+
+} // namespace thermctl
+
+#endif // THERMCTL_COMMON_PARALLEL_HH

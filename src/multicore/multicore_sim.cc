@@ -5,6 +5,7 @@
 
 #include "check/invariants.hh"
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "sim/policy_factory.hh"
 #include "workload/trace.hh"
 
@@ -89,6 +90,8 @@ MulticoreSimulator::MulticoreSimulator(const SimConfig &cfg)
     const MulticoreConfig &mc = cfg.multicore;
     if (mc.budget_epoch_samples < 1)
         fatal("MulticoreSimulator: budget_epoch_samples must be >= 1");
+    if (cfg.dtm.sample_interval == 0)
+        fatal("MulticoreSimulator: sample interval must be positive");
 
     const FopdtPlant plant = deriveDtmPlant(
         floorplan_, power_, cfg.dtm, cfg.power.tech.cycleSeconds());
@@ -121,23 +124,42 @@ MulticoreSimulator::MulticoreSimulator(const SimConfig &cfg)
 void
 MulticoreSimulator::run(std::uint64_t nominal_cycles)
 {
-    const double alpha = cfg_.power.voltage_scaling_alpha;
-    for (std::uint64_t k = 0; k < nominal_cycles; ++k) {
+    // Cores interact only through sample(): between two window
+    // barriers each one runs alone, so the cores of a segment are
+    // ticked in parallel and joined before anything shared is touched.
+    const std::uint64_t interval = cfg_.dtm.sample_interval;
+    while (nominal_cycles > 0) {
+        const std::uint64_t segment =
+            std::min(nominal_cycles, interval - since_sample_);
+        parallelFor(cores_.size(), [this, segment](std::size_t c) {
+            runCore(*cores_[c], segment);
+        });
         for (const auto &unit : cores_) {
-            if (!unit->ladder.clockGate())
-                continue; // scaled core skips this nominal edge
-            unit->core->tick();
-            const PowerVector p =
-                power_.cyclePower(unit->core->activity());
-            const double ps = unit->ladder.powerScale(alpha);
-            for (std::size_t j = 0; j < kNumStructures; ++j)
-                unit->window_power.value[j] += p.value[j] * ps;
-            ++stats_.executed_cycles;
+            stats_.executed_cycles += unit->executed_cycles;
+            unit->executed_cycles = 0;
         }
-        ++now_;
-        ++stats_.nominal_cycles;
-        if (++since_sample_ >= cfg_.dtm.sample_interval)
+        stats_.nominal_cycles += segment;
+        nominal_cycles -= segment;
+        if ((since_sample_ += segment) >= interval)
             sample();
+    }
+}
+
+void
+MulticoreSimulator::runCore(CoreUnit &unit, std::uint64_t cycles) const
+{
+    // The ladder level only changes in sample(), so the power scale is
+    // fixed for the whole segment.
+    const double ps =
+        unit.ladder.powerScale(cfg_.power.voltage_scaling_alpha);
+    for (std::uint64_t k = 0; k < cycles; ++k) {
+        if (!unit.ladder.clockGate())
+            continue; // scaled core skips this nominal edge
+        unit.core->tick();
+        const PowerVector p = power_.cyclePower(unit.core->activity());
+        for (std::size_t j = 0; j < kNumStructures; ++j)
+            unit.window_power.value[j] += p.value[j] * ps;
+        ++unit.executed_cycles;
     }
 }
 

@@ -66,10 +66,17 @@ struct ChipStats
 class MulticoreSimulator
 {
   public:
-    /** Fatal on invalid multicore config or unsupported policy kind. */
+    /**
+     * Fatal on invalid multicore config, a zero sample interval, or an
+     * unsupported policy kind.
+     */
     explicit MulticoreSimulator(const SimConfig &cfg);
 
-    /** Advance n nominal cycles. */
+    /**
+     * Advance n nominal cycles, one window segment at a time: the cores
+     * of a segment tick in parallel (common/parallel.hh), and every
+     * segment that completes a sample interval ends in sample().
+     */
     void run(std::uint64_t nominal_cycles);
 
     /** The standard protocol: half cold, warm-start, settle, reset. */
@@ -106,12 +113,21 @@ class MulticoreSimulator
         PowerVector meas_power;
         /** Ladder level cap from the current budget split. */
         std::uint32_t budget_cap_level;
+        /** Cycles executed in the current segment (see run()). */
+        std::uint64_t executed_cycles = 0;
 
         CoreUnit(std::uint32_t levels, double min_scale)
             : ladder(levels, min_scale), budget_cap_level(levels)
         {
         }
     };
+
+    /**
+     * Advance one core `cycles` nominal cycles inside a sample window.
+     * Touches only `unit` and const shared state, so the cores of a
+     * segment run concurrently.
+     */
+    void runCore(CoreUnit &unit, std::uint64_t cycles) const;
 
     /** Close a sample window: thermal step, metrics, control, budget. */
     void sample();
@@ -126,7 +142,6 @@ class MulticoreSimulator
     std::vector<std::unique_ptr<CoreUnit>> cores_;
     std::unique_ptr<BudgetCoordinator> coordinator_;
 
-    Cycle now_ = 0;
     std::uint64_t since_sample_ = 0;
     std::uint32_t samples_since_epoch_ = 0;
 

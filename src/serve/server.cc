@@ -297,14 +297,16 @@ Server::wakeLoop()
 void
 Server::eventLoop()
 {
-    bool drain_seen = false;
-
-    for (;;) {
-        const bool draining = draining_.load();
-        if (draining && !drain_seen) {
-            drain_seen = true;
+    bool draining = false;
+    const auto noteDrain = [&] {
+        if (!draining && draining_.load()) {
+            draining = true;
             drain_started_ = Clock::now();
         }
+    };
+
+    for (;;) {
+        noteDrain();
 
         // ---- build the poll set
         const Clock::time_point now = Clock::now();
@@ -397,6 +399,11 @@ Server::eventLoop()
             while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
             }
         }
+        // beginDrain()'s wake-up may land in an iteration that polled
+        // before the flag flipped: re-read it so the drain step below
+        // runs now, not after a poll that sleeps the whole flush budget
+        // with nothing left to wake it.
+        noteDrain();
 
         processCompletions();
 

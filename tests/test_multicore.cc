@@ -14,15 +14,23 @@
  *  - budget splits sum to the chip budget exactly, for every policy;
  *  - the adjustable-gain integral controller holds the setpoint within
  *    +-1 C through a plant-gain mismatch and a load step that makes
- *    the fixed-gain PID overshoot.
+ *    the fixed-gain PID overshoot;
+ *  - the engine's RunResult bytes match digests pinned from the serial
+ *    engine, whatever the parallelFor pool width, and a run split at
+ *    arbitrary points equals the unsplit run.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "control/tuning.hh"
 #include "dtm/actuator.hh"
 #include "fault/fault.hh"
@@ -31,6 +39,7 @@
 #include "multicore/core_controller.hh"
 #include "multicore/multicore_sim.hh"
 #include "sim/policy_factory.hh"
+#include "sim/sweep.hh"
 #include "thermal/rc_model.hh"
 #include "workload/spec_profiles.hh"
 
@@ -634,4 +643,165 @@ TEST(PolicyFactory, MulticoreNamesRoundTrip)
     }
     BudgetPolicy out;
     EXPECT_FALSE(parseBudgetPolicy("round-robin", out));
+}
+
+// ------------------------------------------------------------ parallelFor
+
+TEST(ParallelFor, EveryIndexRunsExactlyOnce)
+{
+    for (std::size_t n : {0u, 1u, 2u, 3u, 16u, 1000u}) {
+        std::vector<std::atomic<int>> runs(n);
+        parallelFor(n, [&](std::size_t i) { runs[i].fetch_add(1); });
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(runs[i].load(), 1) << "n=" << n << " i=" << i;
+    }
+}
+
+TEST(ParallelFor, PanicReachesTheCaller)
+{
+    EXPECT_THROW(parallelFor(64,
+                             [](std::size_t i) {
+                                 if (i == 17)
+                                     panic("index ", i, " failed");
+                             }),
+                 PanicError);
+    // The pool survives: the next call runs every index.
+    std::atomic<std::size_t> sum{0};
+    parallelFor(64, [&](std::size_t i) { sum.fetch_add(i); });
+    EXPECT_EQ(sum.load(), 64u * 63u / 2u);
+}
+
+TEST(ParallelFor, ConcurrentAndNestedCallsComplete)
+{
+    constexpr std::size_t kCallers = 4, kOuter = 8, kInner = 8;
+    std::vector<std::atomic<int>> runs(kCallers * kOuter * kInner);
+    std::vector<std::thread> callers;
+    for (std::size_t c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&, c] {
+            parallelFor(kOuter, [&](std::size_t o) {
+                parallelFor(kInner, [&](std::size_t i) {
+                    runs[(c * kOuter + o) * kInner + i].fetch_add(1);
+                });
+            });
+        });
+    }
+    for (auto &t : callers)
+        t.join();
+    for (const auto &r : runs)
+        EXPECT_EQ(r.load(), 1);
+}
+
+// ------------------------------------------------------------ determinism
+
+namespace
+{
+
+SimConfig
+chipPoint(const char *bench, DtmPolicyKind kind, std::uint32_t cores)
+{
+    SimConfig cfg;
+    cfg.workload = specProfile(bench);
+    cfg.policy.kind = kind;
+    cfg.multicore.num_cores = cores;
+    return cfg;
+}
+
+/** FNV-1a digest of the serialized RunResult, as 16 hex digits. */
+std::string
+resultDigest(const SimConfig &cfg, const RunProtocol &proto)
+{
+    const std::string bytes =
+        serializeRunResult(runMulticoreOne(cfg, proto));
+    return hashHex(HashStream{}.bytes(bytes.data(), bytes.size()).digest());
+}
+
+void
+expectSameStats(const ChipStats &a, const ChipStats &b)
+{
+    EXPECT_EQ(a.nominal_cycles, b.nominal_cycles);
+    EXPECT_EQ(a.executed_cycles, b.executed_cycles);
+    EXPECT_EQ(a.committed, b.committed);
+    EXPECT_EQ(a.emergency_cycles, b.emergency_cycles);
+    EXPECT_EQ(a.stress_cycles, b.stress_cycles);
+    EXPECT_EQ(a.samples, b.samples);
+    EXPECT_EQ(a.freq_scale_sum, b.freq_scale_sum);
+    EXPECT_EQ(a.max_temperature.value(), b.max_temperature.value());
+    for (std::size_t j = 0; j < kNumStructures; ++j) {
+        const ChipStructureStats &x = a.structures[j];
+        const ChipStructureStats &y = b.structures[j];
+        EXPECT_EQ(x.temp_sum, y.temp_sum) << j;
+        EXPECT_EQ(x.temp_max.value(), y.temp_max.value()) << j;
+        EXPECT_EQ(x.emergency_cycles, y.emergency_cycles) << j;
+        EXPECT_EQ(x.stress_cycles, y.stress_cycles) << j;
+        EXPECT_EQ(x.power_sum, y.power_sum) << j;
+    }
+}
+
+} // namespace
+
+// The digests below were computed by the serial engine, which ticked
+// every core cycle by cycle on one thread. The windowed engine must
+// reproduce those bytes exactly on any number of CPUs.
+
+TEST(MulticoreDeterminism, TwoCorePidMatchesPinnedDigest)
+{
+    const SimConfig cfg = chipPoint("186.crafty", DtmPolicyKind::PID, 2);
+    EXPECT_EQ(resultDigest(cfg, {10000, 30000}), "043eb05e882e52d8");
+}
+
+TEST(MulticoreDeterminism, SixteenCoreHeadroomBudgetMatchesPinnedDigest)
+{
+    SimConfig cfg = chipPoint("176.gcc", DtmPolicyKind::PerCorePid, 16);
+    cfg.multicore.coupling_resistance = 4.0;
+    cfg.multicore.budget_policy = BudgetPolicy::ThermalHeadroom;
+    const RunProtocol proto{6000, 24000};
+
+    // The budget binds: the same chip without it runs at a higher duty.
+    SimConfig free_cfg = cfg;
+    free_cfg.multicore.chip_budget = 0.0;
+    cfg.multicore.chip_budget = 160.0;
+    EXPECT_LT(runMulticoreOne(cfg, proto).mean_duty,
+              runMulticoreOne(free_cfg, proto).mean_duty);
+
+    EXPECT_EQ(resultDigest(cfg, proto), "a1fe6916ab9191e2");
+}
+
+TEST(MulticoreDeterminism, AdjustableIntegralMatchesPinnedDigest)
+{
+    const SimConfig cfg =
+        chipPoint("186.crafty", DtmPolicyKind::AdjIntegral, 4);
+    EXPECT_EQ(resultDigest(cfg, {10000, 30000}), "be31d10fa5120daf");
+}
+
+TEST(MulticoreDeterminism, OddWarmupMatchesPinnedDigest)
+{
+    // 7777 splits into 3888 + 3889 around the warm start, and neither
+    // half nor the 5003-cycle measurement ends on a window boundary.
+    const SimConfig cfg =
+        chipPoint("179.art", DtmPolicyKind::PerCorePid, 3);
+    EXPECT_EQ(resultDigest(cfg, {7777, 5003}), "8e2576e0102e1ee1");
+}
+
+TEST(MulticoreDeterminism, SplitRunEqualsUnsplitRun)
+{
+    SimConfig cfg = chipPoint("186.crafty", DtmPolicyKind::PerCorePid, 3);
+    cfg.multicore.chip_budget = 50.0;
+    MulticoreSimulator split(cfg);
+    MulticoreSimulator whole(cfg);
+    split.warmUp(2001);
+    whole.warmUp(2001);
+    split.run(1);
+    split.run(999);
+    split.run(1500);
+    whole.run(2500);
+    expectSameStats(split.stats(), whole.stats());
+    EXPECT_EQ(split.committedTotal(), whole.committedTotal());
+    EXPECT_EQ(split.stats().nominal_cycles, 2500u);
+}
+
+TEST(MulticoreSimulator, RejectsZeroSampleInterval)
+{
+    SimConfig cfg = chipPoint("186.crafty", DtmPolicyKind::PerCorePid, 2);
+    cfg.dtm.sample_interval = 0;
+    EXPECT_THROW(MulticoreSimulator{cfg}, FatalError);
 }

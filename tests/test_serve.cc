@@ -1500,3 +1500,36 @@ TEST(ServeServer, SweepCarriesMulticoreKnobsToEveryPoint)
               serializeRunResult(via_run.result));
     server.shutdown();
 }
+
+TEST(ServeServer, ShutdownWithoutBusyConnectionsReturnsPromptly)
+{
+    using Clock = std::chrono::steady_clock;
+    const auto shutdownMs = [](Server &server) {
+        // Let the event loop block in poll() first: the stall needed a
+        // drain wake-up to land in an iteration that polled before it.
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        const auto t0 = Clock::now();
+        server.shutdown();
+        return std::chrono::duration_cast<std::chrono::milliseconds>(
+                   Clock::now() - t0)
+            .count();
+    };
+
+    // No connection at all: nothing to flush, so no flush budget to
+    // wait out (drain_flush_ms defaults to 5 s).
+    {
+        Server server(fastServerOptions(18));
+        server.start();
+        EXPECT_LT(shutdownMs(server), 500);
+    }
+    // An idle connection owes no reply: it closes at once as well.
+    {
+        const ServerOptions opts = fastServerOptions(19);
+        Server server(opts);
+        server.start();
+        const int fd = rawConnect(opts.unix_path);
+        ASSERT_GE(fd, 0);
+        EXPECT_LT(shutdownMs(server), 500);
+        ::close(fd);
+    }
+}

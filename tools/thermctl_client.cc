@@ -44,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "fault/fault.hh"
@@ -193,22 +194,22 @@ main(int argc, char **argv)
             } else if (arg == "--policy") {
                 policies = splitList(next());
             } else if (arg == "--warmup") {
-                knobs.warmup_cycles = std::stoull(next());
+                knobs.warmup_cycles = parseFlag<std::uint64_t>(arg, next());
             } else if (arg == "--cycles") {
-                knobs.measure_cycles = std::stoull(next());
+                knobs.measure_cycles = parseFlag<std::uint64_t>(arg, next());
             } else if (arg == "--setpoint") {
-                knobs.ct_setpoint = std::stod(next());
+                knobs.ct_setpoint = parseFlag<double>(arg, next());
             } else if (arg == "--sample") {
-                knobs.sample_interval = std::stoull(next());
+                knobs.sample_interval = parseFlag<std::uint64_t>(arg, next());
             } else if (arg == "--cores") {
-                const unsigned long v = std::stoul(next());
+                const unsigned long v = parseFlag<unsigned long>(arg, next());
                 if (v > kMaxCores)
                     fatal("--cores must be <= ", kMaxCores);
                 knobs.num_cores = static_cast<std::uint32_t>(v);
             } else if (arg == "--coupling") {
-                knobs.coupling_r = std::stod(next());
+                knobs.coupling_r = parseFlag<double>(arg, next());
             } else if (arg == "--budget") {
-                knobs.chip_budget = std::stod(next());
+                knobs.chip_budget = parseFlag<double>(arg, next());
             } else if (arg == "--budget-policy") {
                 const std::string name = next();
                 BudgetPolicy policy;
@@ -219,19 +220,19 @@ main(int argc, char **argv)
                 knobs.budget_policy =
                     static_cast<std::uint8_t>(policy);
             } else if (arg == "--deadline") {
-                deadline_ms = std::stoull(next());
+                deadline_ms = parseFlag<std::uint64_t>(arg, next());
             } else if (arg == "--csv") {
                 csv_path = next();
             } else if (arg == "--retries") {
-                const long v = std::stol(next());
+                const long v = parseFlag<long>(arg, next());
                 if (v < 1)
                     fatal("--retries must be >= 1");
                 backoff.max_attempts = static_cast<std::uint32_t>(v);
             } else if (arg == "--retry-base-ms") {
                 backoff.base_ms =
-                    static_cast<std::uint32_t>(std::stoul(next()));
+                    parseFlag<std::uint32_t>(arg, next());
             } else if (arg == "--retry-deadline-ms") {
-                backoff.deadline_ms = std::stoull(next());
+                backoff.deadline_ms = parseFlag<std::uint64_t>(arg, next());
             } else if (arg == "--fault-plan") {
                 fault_plan_spec = next();
             } else if (arg == "--cache-query") {

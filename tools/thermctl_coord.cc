@@ -44,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "fault/fault.hh"
@@ -156,22 +157,22 @@ main(int argc, char **argv)
             } else if (arg == "--policy") {
                 policies = splitList(next());
             } else if (arg == "--warmup") {
-                knobs.warmup_cycles = std::stoull(next());
+                knobs.warmup_cycles = parseFlag<std::uint64_t>(arg, next());
             } else if (arg == "--cycles") {
-                knobs.measure_cycles = std::stoull(next());
+                knobs.measure_cycles = parseFlag<std::uint64_t>(arg, next());
             } else if (arg == "--setpoint") {
-                knobs.ct_setpoint = std::stod(next());
+                knobs.ct_setpoint = parseFlag<double>(arg, next());
             } else if (arg == "--sample") {
-                knobs.sample_interval = std::stoull(next());
+                knobs.sample_interval = parseFlag<std::uint64_t>(arg, next());
             } else if (arg == "--cores") {
-                const unsigned long v = std::stoul(next());
+                const unsigned long v = parseFlag<unsigned long>(arg, next());
                 if (v > kMaxCores)
                     fatal("--cores must be <= ", kMaxCores);
                 knobs.num_cores = static_cast<std::uint32_t>(v);
             } else if (arg == "--coupling") {
-                knobs.coupling_r = std::stod(next());
+                knobs.coupling_r = parseFlag<double>(arg, next());
             } else if (arg == "--budget") {
-                knobs.chip_budget = std::stod(next());
+                knobs.chip_budget = parseFlag<double>(arg, next());
             } else if (arg == "--budget-policy") {
                 const std::string name = next();
                 BudgetPolicy policy;
@@ -182,24 +183,24 @@ main(int argc, char **argv)
                 knobs.budget_policy = static_cast<std::uint8_t>(policy);
             } else if (arg == "--lease-ms") {
                 opts.lease_ms =
-                    static_cast<unsigned>(std::stoul(next()));
+                    parseFlag<unsigned>(arg, next());
             } else if (arg == "--connect-timeout-ms") {
                 opts.connect_timeout_ms =
-                    static_cast<unsigned>(std::stoul(next()));
+                    parseFlag<unsigned>(arg, next());
             } else if (arg == "--probe-interval-ms") {
                 opts.probe_interval_ms =
-                    static_cast<unsigned>(std::stoul(next()));
+                    parseFlag<unsigned>(arg, next());
             } else if (arg == "--quarantine-ms") {
                 opts.quarantine_ms =
-                    static_cast<unsigned>(std::stoul(next()));
+                    parseFlag<unsigned>(arg, next());
             } else if (arg == "--unhealthy-after") {
                 opts.unhealthy_after =
-                    static_cast<unsigned>(std::stoul(next()));
+                    parseFlag<unsigned>(arg, next());
             } else if (arg == "--max-attempts") {
                 opts.max_point_attempts =
-                    static_cast<unsigned>(std::stoul(next()));
+                    parseFlag<unsigned>(arg, next());
             } else if (arg == "--seed") {
-                opts.seed = std::stoull(next());
+                opts.seed = parseFlag<std::uint64_t>(arg, next());
             } else if (arg == "--require-complete") {
                 require_complete = true;
             } else if (arg == "--workers-report") {

@@ -71,6 +71,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "serve/protocol.hh"
@@ -172,7 +173,8 @@ dial(const std::string &endpoint, bool must_succeed = true)
         if (colon == std::string::npos)
             fatal("loadgen: bad tcp endpoint '", endpoint, "'");
         std::string host = rest.substr(0, colon);
-        const int port = std::stoi(rest.substr(colon + 1));
+        const int port = parseFlag<int>("loadgen: tcp port",
+                                         rest.substr(colon + 1));
         if (host == "localhost")
             host = "127.0.0.1";
         sockaddr_in addr{};
@@ -314,7 +316,7 @@ parseMix(const std::string &spec, double &run_w, double &cache_w,
         if (eq == std::string::npos)
             fatal("loadgen: bad mix clause '", part, "'");
         const std::string name = part.substr(0, eq);
-        const double w = std::stod(part.substr(eq + 1));
+        const double w = parseFlag<double>("--mix", part.substr(eq + 1));
         if (w < 0.0)
             fatal("loadgen: negative mix weight in '", part, "'");
         if (name == "run")
@@ -362,20 +364,20 @@ main(int argc, char **argv)
             if (arg == "--socket" || arg == "--connect") {
                 endpoints.push_back(next());
             } else if (arg == "--rate") {
-                rate = std::stod(next());
+                rate = parseFlag<double>(arg, next());
                 if (rate <= 0.0)
                     fatal("--rate must be positive");
             } else if (arg == "--conns") {
-                const long v = std::stol(next());
+                const long v = parseFlag<long>(arg, next());
                 if (v < 1)
                     fatal("--conns must be >= 1");
                 conns = static_cast<unsigned>(v);
             } else if (arg == "--duration") {
-                duration_s = std::stod(next());
+                duration_s = parseFlag<double>(arg, next());
                 if (duration_s <= 0.0)
                     fatal("--duration must be positive");
             } else if (arg == "--seed") {
-                seed = std::stoull(next());
+                seed = parseFlag<std::uint64_t>(arg, next());
             } else if (arg == "--mix") {
                 mix = next();
             } else if (arg == "--bench") {
@@ -383,18 +385,18 @@ main(int argc, char **argv)
             } else if (arg == "--policy") {
                 knobs.policy = next();
             } else if (arg == "--warmup") {
-                knobs.warmup_cycles = std::stoull(next());
+                knobs.warmup_cycles = parseFlag<std::uint64_t>(arg, next());
             } else if (arg == "--cycles") {
-                knobs.measure_cycles = std::stoull(next());
+                knobs.measure_cycles = parseFlag<std::uint64_t>(arg, next());
             } else if (arg == "--cores") {
-                const unsigned long v = std::stoul(next());
+                const unsigned long v = parseFlag<unsigned long>(arg, next());
                 if (v > kMaxCores)
                     fatal("--cores must be <= ", kMaxCores);
                 knobs.num_cores = static_cast<std::uint32_t>(v);
             } else if (arg == "--fake-work-us") {
-                fake_work_us = std::stoull(next());
+                fake_work_us = parseFlag<std::uint64_t>(arg, next());
             } else if (arg == "--max-wait-ms") {
-                max_wait_ms = std::stoull(next());
+                max_wait_ms = parseFlag<std::uint64_t>(arg, next());
             } else if (arg == "--json") {
                 json_path = next();
             } else if (arg == "--help" || arg == "-h") {

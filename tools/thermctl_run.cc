@@ -42,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "multicore/multicore_sim.hh"
@@ -175,24 +176,25 @@ main(int argc, char **argv)
             } else if (arg == "--policy") {
                 policies = splitList(next());
             } else if (arg == "--warmup") {
-                warmup = std::stoull(next());
+                warmup = parseFlag<std::uint64_t>(arg, next());
             } else if (arg == "--cycles") {
-                cycles = std::stoull(next());
+                cycles = parseFlag<std::uint64_t>(arg, next());
             } else if (arg == "--setpoint") {
-                cfg.policy.ct_setpoint = std::stod(next());
+                cfg.policy.ct_setpoint = parseFlag<double>(arg, next());
                 cfg.policy.ct_range_low = cfg.policy.ct_setpoint - 0.2;
             } else if (arg == "--sample") {
-                cfg.dtm.sample_interval = std::stoull(next());
+                cfg.dtm.sample_interval = parseFlag<std::uint64_t>(arg, next());
             } else if (arg == "--cores") {
-                const unsigned long v = std::stoul(next());
+                const unsigned long v = parseFlag<unsigned long>(arg, next());
                 if (v < 1 || v > kMaxCores)
                     fatal("--cores must be in [1, ", kMaxCores, "]");
                 cfg.multicore.num_cores =
                     static_cast<std::uint32_t>(v);
             } else if (arg == "--coupling") {
-                cfg.multicore.coupling_resistance = std::stod(next());
+                cfg.multicore.coupling_resistance =
+                    parseFlag<double>(arg, next());
             } else if (arg == "--budget") {
-                cfg.multicore.chip_budget = std::stod(next());
+                cfg.multicore.chip_budget = parseFlag<double>(arg, next());
             } else if (arg == "--budget-policy") {
                 const std::string name = next();
                 if (!parseBudgetPolicy(name,
@@ -201,7 +203,7 @@ main(int argc, char **argv)
                           "' (expected uniform|demand|headroom)");
                 }
             } else if (arg == "--jobs") {
-                const long v = std::stol(next());
+                const long v = parseFlag<long>(arg, next());
                 if (v < 1)
                     fatal("--jobs must be >= 1");
                 sweep_opts.jobs = static_cast<unsigned>(v);

@@ -50,6 +50,7 @@
 #include <string>
 #include <thread>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "fault/fault.hh"
 #include "serve/server.hh"
@@ -117,9 +118,9 @@ main(int argc, char **argv)
                 opts.unix_path = next();
             } else if (arg == "--tcp") {
                 opts.tcp = true;
-                opts.tcp_port = std::stoi(next());
+                opts.tcp_port = parseFlag<int>(arg, next());
             } else if (arg == "--jobs") {
-                const long v = std::stol(next());
+                const long v = parseFlag<long>(arg, next());
                 if (v < 1)
                     fatal("--jobs must be >= 1");
                 opts.sweep.jobs = static_cast<unsigned>(v);
@@ -128,37 +129,37 @@ main(int argc, char **argv)
             } else if (arg == "--no-cache") {
                 opts.sweep.use_cache = false;
             } else if (arg == "--max-queue") {
-                const long v = std::stol(next());
+                const long v = parseFlag<long>(arg, next());
                 if (v < 1)
                     fatal("--max-queue must be >= 1");
                 opts.max_queue = static_cast<std::size_t>(v);
             } else if (arg == "--dispatchers") {
-                const long v = std::stol(next());
+                const long v = parseFlag<long>(arg, next());
                 if (v < 1)
                     fatal("--dispatchers must be >= 1");
                 opts.dispatchers = static_cast<unsigned>(v);
             } else if (arg == "--batch-window-ms") {
                 opts.batch_window_ms =
-                    static_cast<unsigned>(std::stoul(next()));
+                    parseFlag<unsigned>(arg, next());
             } else if (arg == "--watchdog-ms") {
                 opts.watchdog_ms =
-                    static_cast<unsigned>(std::stoul(next()));
+                    parseFlag<unsigned>(arg, next());
             } else if (arg == "--workers") {
-                const long v = std::stol(next());
+                const long v = parseFlag<long>(arg, next());
                 if (v < 1)
                     fatal("--workers must be >= 1");
                 opts.workers = static_cast<unsigned>(v);
             } else if (arg == "--idle-timeout-ms") {
                 opts.idle_timeout_ms =
-                    static_cast<unsigned>(std::stoul(next()));
+                    parseFlag<unsigned>(arg, next());
             } else if (arg == "--max-write-buffer") {
                 opts.max_write_buffer =
-                    static_cast<std::size_t>(std::stoull(next()));
+                    parseFlag<std::size_t>(arg, next());
             } else if (arg == "--sndbuf") {
-                opts.sndbuf = std::stoi(next());
+                opts.sndbuf = parseFlag<int>(arg, next());
             } else if (arg == "--drain-flush-ms") {
                 opts.drain_flush_ms =
-                    static_cast<unsigned>(std::stoul(next()));
+                    parseFlag<unsigned>(arg, next());
             } else if (arg == "--fault-plan") {
                 opts.fault_plan = next();
             } else if (arg == "--help" || arg == "-h") {

@@ -17,6 +17,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "workload/spec_profiles.hh"
@@ -136,13 +137,13 @@ main(int argc, char **argv)
             if (arg == "--bench")
                 bench = next();
             else if (arg == "--ops")
-                ops = std::stoull(next());
+                ops = parseFlag<std::uint64_t>(arg, next());
             else if (arg == "--out")
                 out = next();
             else if (arg == "--in")
                 in = next();
             else if (arg == "--dump")
-                dump = std::stoull(next());
+                dump = parseFlag<std::uint64_t>(arg, next());
             else {
                 usage();
                 return 2;
