@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "workload/spec_profiles.hh"
 
@@ -76,13 +77,18 @@ parseArgs(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--jobs") {
-            const long v = std::strtol(next(), nullptr, 10);
+            unsigned v = 0;
+            try {
+                v = parseFlag<unsigned>(arg, next());
+            } catch (const FatalError &) {
+                v = 0; // reported below
+            }
             if (v < 1) {
-                std::fprintf(stderr, "%s: --jobs must be >= 1\n",
+                std::fprintf(stderr, "%s: --jobs must be an integer >= 1\n",
                              argv[0]);
                 std::exit(2);
             }
-            parsed.opts.jobs = static_cast<unsigned>(v);
+            parsed.opts.jobs = v;
         } else if (arg == "--cache-dir") {
             parsed.opts.cache_dir = next();
         } else if (arg == "--no-cache") {

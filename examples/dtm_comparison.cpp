@@ -10,6 +10,7 @@
 #include <iomanip>
 #include <iostream>
 
+#include "common/logging.hh"
 #include "common/table.hh"
 #include "sim/experiment.hh"
 #include "workload/spec_profiles.hh"
@@ -20,12 +21,25 @@ int
 main(int argc, char **argv)
 {
     const std::string bench = argc > 1 ? argv[1] : "301.apsi";
+    const char *usage =
+        "usage: dtm_comparison [BENCHMARK]  (a SPEC2000 profile such as "
+        "186.crafty; default 301.apsi)\n";
+    if (bench == "--help" || bench == "-h") {
+        std::cout << usage;
+        return 0;
+    }
+    WorkloadProfile profile;
+    try {
+        profile = specProfile(bench);
+    } catch (const FatalError &e) {
+        std::cerr << e.what() << "\n" << usage;
+        return 2;
+    }
 
     RunProtocol proto;
     proto.warmup_cycles = 300000;
     proto.measure_cycles = 800000;
     ExperimentRunner runner(proto);
-    auto profile = specProfile(bench);
 
     DtmPolicySettings s;
     s.kind = DtmPolicyKind::None;

@@ -14,6 +14,7 @@
 #include <iomanip>
 #include <iostream>
 
+#include "common/logging.hh"
 #include "sim/simulator.hh"
 #include "workload/spec_profiles.hh"
 
@@ -77,9 +78,23 @@ int
 main(int argc, char **argv)
 {
     const std::string bench = argc > 1 ? argv[1] : "191.fma3d";
+    const char *usage =
+        "usage: hotspot_explorer [BENCHMARK]  (a SPEC2000 profile such as "
+        "186.crafty; default 191.fma3d)\n";
+    if (bench == "--help" || bench == "-h") {
+        std::cout << usage;
+        return 0;
+    }
+    WorkloadProfile profile;
+    try {
+        profile = specProfile(bench);
+    } catch (const FatalError &e) {
+        std::cerr << e.what() << "\n" << usage;
+        return 2;
+    }
 
     SimConfig cfg;
-    cfg.workload = specProfile(bench);
+    cfg.workload = profile;
     cfg.policy.kind = DtmPolicyKind::None;
     Simulator sim(cfg);
 

@@ -11,6 +11,7 @@
 
 #include <iostream>
 
+#include "common/logging.hh"
 #include "sim/simulator.hh"
 #include "workload/spec_profiles.hh"
 
@@ -20,11 +21,25 @@ main(int argc, char **argv)
     using namespace thermctl;
 
     const std::string bench = argc > 1 ? argv[1] : "186.crafty";
+    const char *usage =
+        "usage: quickstart [BENCHMARK]  (a SPEC2000 profile such as "
+        "186.crafty; default 186.crafty)\n";
+    if (bench == "--help" || bench == "-h") {
+        std::cout << usage;
+        return 0;
+    }
+    WorkloadProfile profile;
+    try {
+        profile = specProfile(bench);
+    } catch (const FatalError &e) {
+        std::cerr << e.what() << "\n" << usage;
+        return 2;
+    }
 
     // 1. Configure: the defaults are the paper's machine (Table 2),
     //    power model, floorplan (Table 3) and thresholds.
     SimConfig cfg;
-    cfg.workload = specProfile(bench);
+    cfg.workload = profile;
     cfg.policy.kind = DtmPolicyKind::PID;
 
     // 2. Simulate: warm up past the thermal transient, then measure.

@@ -5,7 +5,7 @@
 #   plain          build + ctest with -Werror and the physics-invariant
 #                  instrumentation compiled in (THERMCTL_INVARIANTS=ON)
 #   lint           thermctl_lint project-rule linter over src/, tests/,
-#                  bench/, and tools/ with the committed allowlist
+#                  bench/, tools/, and examples/ with the committed allowlist
 #                  (.thermctl-lint-allow); --ci makes stale allowlist
 #                  entries fail the stage
 #   analyze        thermctl_analyze whole-project static analysis:
@@ -125,10 +125,10 @@ if want lint; then
     cmake -B "${base}/plain" -S . \
         -DTHERMCTL_WERROR=ON -DTHERMCTL_INVARIANTS=ON >/dev/null
     cmake --build "${base}/plain" -j "${jobs}" --target thermctl_lint
-    # tests/, bench/, and tools/ are included so fault-point-scope can
-    # see probes that leak outside src/.
+    # tests/, bench/, tools/ and examples/ are included so
+    # fault-point-scope and raw-number-parse see code outside src/.
     "${base}/plain/tools/thermctl_lint" --ci \
-        --allowlist .thermctl-lint-allow src/ tests/ bench/ tools/
+        --allowlist .thermctl-lint-allow src/ tests/ bench/ tools/ examples/
 fi
 
 if want analyze; then

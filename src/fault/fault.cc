@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/flags.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
 
@@ -44,18 +45,16 @@ parseU64(std::string_view word, std::uint64_t &out)
 bool
 parseProbability(std::string_view word, double &out)
 {
-    if (word.empty())
-        return false;
+    double value = 0.0;
     try {
-        std::size_t used = 0;
-        double value = std::stod(std::string(word), &used);
-        if (used != word.size() || value < 0.0 || value > 1.0)
-            return false;
-        out = value;
-        return true;
-    } catch (const std::exception &) {
+        value = parseFlag<double>("probability", word);
+    } catch (const FatalError &) {
         return false;
     }
+    if (value < 0.0 || value > 1.0)
+        return false;
+    out = value;
+    return true;
 }
 
 std::vector<std::string_view>

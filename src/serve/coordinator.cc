@@ -222,14 +222,33 @@ class Flock
     }
 
   private:
+    /** A single-attempt client of worker `wi`; it dials lazily. */
+    ServeClient
+    workerClient(std::size_t wi) const
+    {
+        BackoffConfig config;
+        config.max_attempts = 1;
+        config.connect_timeout_ms = opts_.connect_timeout_ms;
+        return ServeClient(opts_.endpoints[wi], config);
+    }
+
     // ------------------------------------------------------- agent side
 
     void
     agentLoop(std::size_t wi)
     {
-        ServeClient client;
-        Rng jitter = Rng(opts_.seed).fork(wi + 1);
-        std::uint32_t prev_sleep_ms = 0;
+        // The coordinator does its own rerouting, so the client makes
+        // one attempt per dispatch; the lease doubles as the receive
+        // timeout, kept across redials, so a worker that goes silent
+        // costs exactly one lease, never a hang.
+        ServeClient client = workerClient(wi);
+        client.setRecvTimeout(opts_.lease_ms);
+        BackoffConfig overload;
+        overload.base_ms = 25;
+        overload.cap_ms = 2000;
+        overload.max_attempts = std::numeric_limits<std::uint32_t>::max();
+        overload.seed = Rng(opts_.seed).fork(wi + 1).next();
+        BackoffPolicy backoff(overload);
         for (;;) {
             std::size_t pi = 0;
             RunRequest req;
@@ -238,11 +257,11 @@ class Flock
                 if (!acquireWork(wi, pi, req))
                     return;
             }
-            Dispatch d = dispatchOne(client, wi, req);
+            Dispatch d = dispatchOne(client, req);
             std::uint32_t sleep_ms = 0;
             {
                 MutexLock lock(mutex_);
-                sleep_ms = settle(wi, pi, d, jitter, prev_sleep_ms);
+                sleep_ms = settle(wi, pi, d, backoff);
                 cv_.notify_all();
             }
             if (sleep_ms > 0) {
@@ -358,7 +377,7 @@ class Flock
 
     /** One dispatch over the wire; no shared state touched. */
     Dispatch
-    dispatchOne(ServeClient &client, std::size_t wi, const RunRequest &req)
+    dispatchOne(ServeClient &client, const RunRequest &req)
         THERMCTL_EXCLUDES(mutex_)
     {
         Dispatch d;
@@ -372,18 +391,11 @@ class Flock
             d.error = "injected dispatch fault";
             return d;
         }
-        if (!client.connected()) {
-            std::string error;
-            client = ServeClient::tryConnect(
-                opts_.endpoints[wi], opts_.connect_timeout_ms, error);
-            if (!client.connected()) {
-                d.kind = DispatchKind::Transport;
-                d.error = error;
-                return d;
-            }
-            // The lease doubles as the receive timeout: a worker that
-            // goes silent costs exactly one lease, never a hang.
-            client.setRecvTimeout(opts_.lease_ms);
+        // Dial before the lease clock starts: connect time is bounded
+        // by its own timeout and must not read as a silent worker.
+        if (!client.reconnect(d.error)) {
+            d.kind = DispatchKind::Transport;
+            return d;
         }
         const auto t0 = Clock::now();
         PointReply r;
@@ -446,8 +458,8 @@ class Flock
 
     /** Apply one dispatch outcome. @return backoff sleep for the agent. */
     std::uint32_t
-    settle(std::size_t wi, std::size_t pi, Dispatch &d, Rng &jitter,
-           std::uint32_t &prev_sleep_ms) THERMCTL_REQUIRES(mutex_)
+    settle(std::size_t wi, std::size_t pi, Dispatch &d,
+           BackoffPolicy &backoff) THERMCTL_REQUIRES(mutex_)
     {
         PointState &p = points_[pi];
         WorkerState &w = workers_[wi];
@@ -479,18 +491,11 @@ class Flock
             w.stats.overloads++;
             // The worker answered — it is busy, not sick: no health
             // penalty, and the agent backs off before its next
-            // dispatch, floored on the server's own hint.
+            // dispatch, floored on the server's own hint (the 2 s cap
+            // still wins).
             requeueLocked(pi, wi, ServeError::Overloaded,
                           d.reply.message);
-            const double base = 25.0;
-            const double prev =
-                prev_sleep_ms > 0 ? double(prev_sleep_ms) : base;
-            double sleep =
-                jitter.uniform(base, std::max(base + 1.0, prev * 3.0));
-            sleep = std::min(sleep, 2000.0);
-            sleep = std::max(sleep, double(d.reply.retry_after_ms));
-            prev_sleep_ms = static_cast<std::uint32_t>(sleep);
-            return prev_sleep_ms;
+            return backoff.next(0, d.reply.retry_after_ms).sleep_ms;
           }
 
           case DispatchKind::Draining:
@@ -676,7 +681,12 @@ class Flock
     void
     proberLoop() THERMCTL_EXCLUDES(mutex_)
     {
-        std::vector<ServeClient> probes(workers_.size());
+        std::vector<ServeClient> probes;
+        for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
+            probes.push_back(workerClient(wi));
+            probes.back().setRecvTimeout(
+                std::max(1000u, opts_.probe_interval_ms));
+        }
         for (;;) {
             for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
                 {
@@ -688,17 +698,7 @@ class Flock
                 PingReply pong;
                 std::string error;
                 try {
-                    if (!probes[wi].connected()) {
-                        probes[wi] = ServeClient::tryConnect(
-                            opts_.endpoints[wi], opts_.connect_timeout_ms,
-                            error);
-                        if (probes[wi].connected()) {
-                            probes[wi].setRecvTimeout(
-                                std::max(1000u, opts_.probe_interval_ms));
-                        }
-                    }
-                    if (probes[wi].connected())
-                        ok = probes[wi].ping(pong, error);
+                    ok = probes[wi].ping(pong, error);
                 } catch (const FatalError &) {
                     ok = false; // foreign protocol: permanent failure
                 }

@@ -23,7 +23,8 @@
  *
  *  - *Typed failure policy.* Transport: reconnect and reassign.
  *    Stalled / lease expiry: reassign to a different worker. Overloaded:
- *    back off honoring the server's retry_after_ms hint. Draining:
+ *    back off per BackoffPolicy, honoring the server's retry_after_ms
+ *    hint up to the policy's 2 s cap. Draining:
  *    quarantine the worker and reassign. BadRequest / Internal /
  *    VersionMismatch: terminal for the point (retrying cannot help).
  *

@@ -1,9 +1,6 @@
 #include "serve/retry.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <limits>
-#include <thread>
 
 namespace thermctl::serve
 {
@@ -45,177 +42,6 @@ BackoffPolicy::next(std::uint64_t elapsed_ms,
     attempts_++;
     prev_sleep_ms_ = sleep_ms;
     return {true, sleep_ms};
-}
-
-RetryingClient::RetryingClient(std::string endpoint,
-                               const BackoffConfig &config)
-    : endpoint_(std::move(endpoint)), config_(config)
-{
-}
-
-bool
-RetryingClient::retryable(ServeError error)
-{
-    return error == ServeError::Transport
-           || error == ServeError::Overloaded;
-}
-
-namespace
-{
-
-/** "No deadline" sentinel for a remaining-budget value. */
-constexpr std::uint64_t kNoBudget =
-    std::numeric_limits<std::uint64_t>::max();
-
-} // namespace
-
-bool
-RetryingClient::ensureConnected(std::uint64_t remaining_ms,
-                                std::string &error)
-{
-    if (client_.connected())
-        return true;
-    if (remaining_ms == 0) {
-        // The budget is already gone: dialing now could only stretch
-        // the request past its deadline, so fail fast instead.
-        error = "deadline exhausted before reconnect";
-        return false;
-    }
-    std::uint64_t timeout = config_.connect_timeout_ms;
-    if (remaining_ms != kNoBudget)
-        timeout = timeout == 0
-                      ? remaining_ms
-                      : std::min<std::uint64_t>(timeout, remaining_ms);
-    if (timeout == 0)
-        client_ = ServeClient::tryConnect(endpoint_, error);
-    else
-        client_ = ServeClient::tryConnect(
-            endpoint_, static_cast<unsigned>(timeout), error);
-    return client_.connected();
-}
-
-namespace
-{
-
-using Clock = std::chrono::steady_clock;
-
-std::uint64_t
-elapsedMs(Clock::time_point since)
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            Clock::now() - since)
-            .count());
-}
-
-/** Exhausted budget: wrap the last failure in a DeadlineExceeded. */
-PointReply
-budgetExhausted(const PointReply &last, std::uint32_t attempts)
-{
-    PointReply p;
-    p.error = ServeError::DeadlineExceeded;
-    p.message = "retry budget exhausted after "
-                + std::to_string(attempts) + " attempt(s); last error: "
-                + serveErrorName(last.error)
-                + (last.message.empty() ? "" : " (" + last.message + ")");
-    return p;
-}
-
-} // namespace
-
-PointReply
-RetryingClient::run(const RunRequest &req)
-{
-    BackoffConfig config = config_;
-    config.seed = Rng(config_.seed).fork(calls_++).next();
-    BackoffPolicy policy(config);
-    const auto started = Clock::now();
-    auto remaining = [&]() -> std::uint64_t {
-        if (config.deadline_ms == 0)
-            return kNoBudget;
-        const std::uint64_t e = elapsedMs(started);
-        return e >= config.deadline_ms ? 0 : config.deadline_ms - e;
-    };
-
-    PointReply last;
-    for (;;) {
-        attempts_total_++;
-        std::string error;
-        if (ensureConnected(remaining(), error)) {
-            last = client_.run(req);
-        } else {
-            last.error = ServeError::Transport;
-            last.message = error;
-        }
-        if (!retryable(last.error))
-            return last;
-
-        const auto d =
-            policy.next(elapsedMs(started), last.retry_after_ms);
-        if (!d.retry) {
-            // With retries disabled (max_attempts=1) behave exactly
-            // like the plain client: surface the typed error as-is.
-            return policy.attempts() <= 1
-                       ? last
-                       : budgetExhausted(last, policy.attempts());
-        }
-        if (d.sleep_ms > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(d.sleep_ms));
-        }
-    }
-}
-
-SweepReply
-RetryingClient::sweep(const SweepRequest &req)
-{
-    BackoffConfig config = config_;
-    config.seed = Rng(config_.seed).fork(calls_++).next();
-    BackoffPolicy policy(config);
-    const auto started = Clock::now();
-    auto remaining = [&]() -> std::uint64_t {
-        if (config.deadline_ms == 0)
-            return kNoBudget;
-        const std::uint64_t e = elapsedMs(started);
-        return e >= config.deadline_ms ? 0 : config.deadline_ms - e;
-    };
-
-    SweepReply last;
-    for (;;) {
-        attempts_total_++;
-        std::string error;
-        if (ensureConnected(remaining(), error)) {
-            last = client_.sweep(req);
-        } else {
-            last.points.clear();
-            PointReply p;
-            p.error = ServeError::Transport;
-            p.message = error;
-            last.points.push_back(std::move(p));
-        }
-        // A sweep is retried as a unit only when the whole reply is one
-        // typed transport/overload failure; per-point errors inside a
-        // delivered grid are the caller's to inspect.
-        const bool whole_failure =
-            last.points.size() == 1 && retryable(last.points[0].error);
-        if (!whole_failure)
-            return last;
-
-        const auto d = policy.next(elapsedMs(started),
-                                   last.points[0].retry_after_ms);
-        if (!d.retry) {
-            if (policy.attempts() <= 1)
-                return last;
-            SweepReply out;
-            out.points.push_back(
-                budgetExhausted(last.points[0], policy.attempts()));
-            return out;
-        }
-        if (d.sleep_ms > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(d.sleep_ms));
-        }
-    }
 }
 
 } // namespace thermctl::serve

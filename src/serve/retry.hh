@@ -1,6 +1,6 @@
 /**
  * @file
- * Client-side resilience: bounded retries with exponential backoff,
+ * Client-side retry policy: bounded retries with exponential backoff,
  * decorrelated jitter, and an end-to-end deadline budget.
  *
  * Retrying a simulation request is safe because requests are
@@ -11,7 +11,7 @@
  * twice therefore cannot produce a different answer or duplicate work
  * that matters — the worst case is one extra cache hit.
  *
- * Only two failure classes are retried:
+ * ServeClient (serve/client.hh) retries only two failure classes:
  *  - Transport: the connection broke or could not be established; the
  *    request may or may not have executed, which is exactly the case
  *    idempotency exists for.
@@ -31,11 +31,8 @@
 #define THERMCTL_SERVE_RETRY_HH
 
 #include <cstdint>
-#include <string>
 
 #include "common/random.hh"
-#include "serve/client.hh"
-#include "serve/protocol.hh"
 
 namespace thermctl::serve
 {
@@ -80,10 +77,10 @@ class BackoffPolicy
     /**
      * Decide after a failed attempt. `elapsed_ms` is wall time since
      * the first attempt started; `retry_after_ms` (a server hint, 0 =
-     * none) becomes the floor of the computed sleep. Never returns a
-     * sleep that would overrun the deadline budget: once the budget
-     * cannot fit another sleep + attempt, the answer is {false, 0} —
-     * no final pointless sleep.
+     * none) becomes the floor of the computed sleep, but the cap still
+     * wins. Never returns a sleep that would overrun the deadline
+     * budget: once the budget cannot fit another sleep + attempt, the
+     * answer is {false, 0} — no final pointless sleep.
      */
     Decision next(std::uint64_t elapsed_ms,
                   std::uint32_t retry_after_ms = 0);
@@ -96,48 +93,6 @@ class BackoffPolicy
     Rng rng_;
     std::uint32_t attempts_ = 1; ///< the first attempt is underway
     std::uint32_t prev_sleep_ms_ = 0;
-};
-
-/**
- * ServeClient wrapper that reconnects and retries idempotent requests
- * (run/sweep) per BackoffPolicy. Each call gets its own deterministic
- * jitter stream (config seed forked by call index), so a process's
- * retry timing replays from one seed.
- */
-class RetryingClient
-{
-  public:
-    RetryingClient(std::string endpoint, const BackoffConfig &config);
-
-    /**
-     * run() with retries. On exhaustion the last typed failure is
-     * returned; when the deadline budget ran out mid-retry, the error
-     * is DeadlineExceeded with the underlying cause in the message.
-     */
-    PointReply run(const RunRequest &req);
-
-    /** sweep() with retries (the whole grid is retried as a unit). */
-    SweepReply sweep(const SweepRequest &req);
-
-    /** Total attempts across all calls (telemetry). */
-    std::uint64_t attemptsTotal() const { return attempts_total_; }
-
-  private:
-    /** @return true when `error` is worth another attempt. */
-    static bool retryable(ServeError error);
-
-    /**
-     * Reconnect if needed, spending at most `remaining_ms` of the
-     * request's deadline budget (max() = no deadline). A zero remainder
-     * fails fast instead of dialing at all.
-     */
-    bool ensureConnected(std::uint64_t remaining_ms, std::string &error);
-
-    std::string endpoint_;
-    BackoffConfig config_;
-    ServeClient client_;
-    std::uint64_t calls_ = 0;
-    std::uint64_t attempts_total_ = 0;
 };
 
 } // namespace thermctl::serve

@@ -10,6 +10,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "common/flags.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/mutex.hh"
@@ -531,9 +532,14 @@ unsigned
 SweepEngine::defaultJobs()
 {
     if (const char *env = std::getenv("THERMCTL_JOBS")) {
-        const long v = std::strtol(env, nullptr, 10);
+        unsigned v = 0;
+        try {
+            v = parseFlag<unsigned>("THERMCTL_JOBS", env);
+        } catch (const FatalError &) {
+            v = 0; // warned below
+        }
         if (v >= 1)
-            return static_cast<unsigned>(v);
+            return v;
         warn("sweep: ignoring invalid THERMCTL_JOBS='", env, "'");
     }
     const unsigned hw = std::thread::hardware_concurrency();

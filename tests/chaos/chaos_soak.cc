@@ -47,12 +47,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "fault/fault.hh"
 #include "multicore/multicore_sim.hh"
 #include "serve/client.hh"
-#include "serve/connect.hh"
 #include "serve/coordinator.hh"
 #include "serve/server.hh"
 #include "sim/experiment.hh"
@@ -94,17 +94,17 @@ parseFlags(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string value;
         if (flagValue(argv[i], "--seed", value))
-            flags.seed = std::strtoull(value.c_str(), nullptr, 10);
+            flags.seed = parseFlag<std::uint64_t>("--seed", value);
         else if (flagValue(argv[i], "--clients", value))
-            flags.clients = std::atoi(value.c_str());
+            flags.clients = parseFlag<int>("--clients", value);
         else if (flagValue(argv[i], "--requests", value))
-            flags.requests = std::atoi(value.c_str());
+            flags.requests = parseFlag<int>("--requests", value);
         else if (flagValue(argv[i], "--max-wall", value))
-            flags.max_wall_s = std::atoi(value.c_str());
+            flags.max_wall_s = parseFlag<int>("--max-wall", value);
         else if (flagValue(argv[i], "--plan", value))
             flags.plan = value;
         else if (flagValue(argv[i], "--workers", value))
-            flags.workers = std::atoi(value.c_str());
+            flags.workers = parseFlag<int>("--workers", value);
         else if (std::strcmp(argv[i], "--cluster") == 0)
             flags.cluster = true;
         else
@@ -211,11 +211,7 @@ runClient(const std::string &endpoint, const SoakFlags &flags,
     backoff.deadline_ms = 20000;
     backoff.seed = Rng(flags.seed).fork(0x10000u + unsigned(client_id))
                        .next();
-    ClientOptions copts;
-    copts.endpoint = endpoint;
-    copts.retry = true;
-    copts.backoff = backoff;
-    const std::unique_ptr<Client> client = serve::connect(copts);
+    ServeClient client(endpoint, backoff);
 
     Rng pick(Rng(flags.seed).fork(unsigned(client_id)).next());
     ClientTally tally;
@@ -228,7 +224,7 @@ runClient(const std::string &endpoint, const SoakFlags &flags,
         req.point.num_cores = point.num_cores;
         req.point.warmup_cycles = kWarmup;
         req.point.measure_cycles = kMeasure;
-        const PointReply reply = client->run(req);
+        const PointReply reply = client.run(req);
         if (reply.error == ServeError::None) {
             if (serializeRunResult(reply.result) == point.expected) {
                 tally.ok++;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Numeric command-line flags: parseFlag() unit behaviour, and the exit
- * code contract of the built tools — a malformed number is a usage
- * error (exit 2), never an uncaught std::sto* exception (SIGABRT).
+ * code contract of the built tools, benches and examples — a malformed
+ * number or name is a usage error (exit 2), never an uncaught exception
+ * (SIGABRT), and --help exits 0.
  */
 
 #include <gtest/gtest.h>
@@ -92,4 +93,39 @@ TEST(CliExitCodes, MulticoreZeroSampleIntervalExitsTwo)
                          + " --cores 2 --sample 0 --warmup 0 --cycles 1000"
                            " --no-cache >/dev/null 2>&1"),
               2);
+}
+
+TEST(CliExitCodes, MalformedTcpPortExitsTwo)
+{
+    // "80x" used to be read as port 80 and dialed.
+    EXPECT_EQ(runCommand(std::string(THERMCTL_CLIENT_BIN)
+                         + " --socket tcp:127.0.0.1:80x --stats"
+                           " >/dev/null 2>&1"),
+              2);
+}
+
+TEST(CliExitCodes, BenchJobsMustBeAWholeNumber)
+{
+    // strtol used to read "4x" as 4.
+    for (const char *jobs : {"4x", "0", "-1", ""}) {
+        EXPECT_EQ(runCommand(std::string(THERMCTL_BENCH_BIN) + " --jobs '"
+                             + jobs + "' >/dev/null 2>&1"),
+                  2)
+            << "--jobs '" << jobs << "'";
+    }
+}
+
+TEST(CliExitCodes, ExamplesPrintUsageInsteadOfAborting)
+{
+    for (const char *bin :
+         {THERMCTL_QUICKSTART_BIN, THERMCTL_HOTSPOT_EXPLORER_BIN,
+          THERMCTL_DTM_COMPARISON_BIN}) {
+        EXPECT_EQ(runCommand(std::string(bin) + " --help >/dev/null 2>&1"),
+                  0)
+            << bin;
+        EXPECT_EQ(runCommand(std::string(bin)
+                             + " no.such.profile >/dev/null 2>&1"),
+                  2)
+            << bin;
+    }
 }

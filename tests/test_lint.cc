@@ -300,6 +300,37 @@ TEST(LintRules, FaultPointScopeFlagsProbesOutsideSrc)
                          "fault-point-scope"));
 }
 
+TEST(LintRules, RawNumberParseFlagsLibraryParsersEverywhere)
+{
+    for (const char *call :
+         {"int p = std::stoi(text);\n", "long j = strtol(env, nullptr, 10);\n",
+          "double d = std::stod(s, &used);\n", "int n = atoi(v.c_str());\n",
+          "auto s = ::strtoull(v, nullptr, 10);\n"}) {
+        for (const char *path :
+             {"src/serve/client.cc", "tests/chaos/chaos_soak.cc",
+              "bench/bench_util.cc", "tools/thermctl_x.cc"}) {
+            EXPECT_TRUE(hasRule(rulesFor(path, call), "raw-number-parse"))
+                << path << ": " << call;
+        }
+    }
+    // parseFlag's own home may use whatever it likes.
+    EXPECT_FALSE(hasRule(rulesFor("src/common/flags.hh",
+                                  "int v = std::stoi(t);\n"),
+                         "raw-number-parse"));
+    // parseFlag itself, comments, strings, members, other namespaces
+    // and bare mentions without a call are fine.
+    const char *clean =
+        "// std::stoi reads 80x as 80\n"
+        "auto v = parseFlag<int>(\"--port\", text);\n"
+        "const char *s = \"atoi(x)\";\n"
+        "auto a = conv.stod(x);\n"
+        "auto b = conv->atoi(x);\n"
+        "auto c = mylib::strtol(x);\n"
+        "int atof = 3;\n";
+    EXPECT_FALSE(hasRule(rulesFor("src/serve/client.cc", clean),
+                         "raw-number-parse"));
+}
+
 // -------------------------------------------------------------- allowlist
 
 TEST(LintAllowlist, ParsesEntriesCommentsAndBlankLines)
@@ -365,11 +396,12 @@ TEST(LintOutput, TextAndJsonFormats)
 TEST(LintOutput, RuleIdsAreStable)
 {
     const auto &ids = ruleIds();
-    EXPECT_EQ(ids.size(), 6u);
+    EXPECT_EQ(ids.size(), 7u);
     EXPECT_TRUE(hasRule(ids, "raw-double-param"));
     EXPECT_TRUE(hasRule(ids, "using-namespace-header"));
     EXPECT_TRUE(hasRule(ids, "reader-bounds"));
     EXPECT_TRUE(hasRule(ids, "naked-mutex"));
     EXPECT_TRUE(hasRule(ids, "missing-thread-annotations"));
     EXPECT_TRUE(hasRule(ids, "fault-point-scope"));
+    EXPECT_TRUE(hasRule(ids, "raw-number-parse"));
 }

@@ -4,8 +4,8 @@
  * backoff sequence is deterministic per seed, sleeps respect base/cap
  * and the decorrelated-jitter growth bound, the server retry-after hint
  * floors the sleep, and an exhausted deadline budget answers
- * immediately — no final pointless sleep. RetryingClient end-to-end
- * behaviour against an unreachable server is covered here; behaviour
+ * immediately — no final pointless sleep. ServeClient's retry loop
+ * against an unreachable or hung server is covered here; behaviour
  * under live injected faults is the chaos harness's job (tests/chaos).
  */
 
@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "serve/client.hh"
 #include "serve/retry.hh"
 
 using namespace thermctl;
@@ -214,15 +215,15 @@ TEST(BackoffPolicy, ElapsedTimeAloneExhaustsBudget)
     EXPECT_EQ(d.sleep_ms, 0u);
 }
 
-// ------------------------------------------------------ RetryingClient
+// ------------------------------------------- ServeClient retry loop
 
-TEST(RetryingClient, NoRetriesSurfacesTypedTransportError)
+TEST(ServeClientRetry, NoRetriesSurfacesTypedTransportError)
 {
     // max_attempts=1 must behave exactly like the plain client: the
     // typed Transport error comes back unchanged, not wrapped.
     BackoffConfig config;
     config.max_attempts = 1;
-    RetryingClient client("unix:/nonexistent/thermctl-test.sock", config);
+    ServeClient client("unix:/nonexistent/thermctl-test.sock", config);
 
     RunRequest req;
     req.point.benchmark = "186.crafty";
@@ -232,13 +233,13 @@ TEST(RetryingClient, NoRetriesSurfacesTypedTransportError)
     EXPECT_EQ(client.attemptsTotal(), 1u);
 }
 
-TEST(RetryingClient, ExhaustedRetriesWrapInDeadlineExceeded)
+TEST(ServeClientRetry, ExhaustedRetriesWrapInDeadlineExceeded)
 {
     BackoffConfig config;
     config.base_ms = 1;
     config.cap_ms = 2;
     config.max_attempts = 3;
-    RetryingClient client("unix:/nonexistent/thermctl-test.sock", config);
+    ServeClient client("unix:/nonexistent/thermctl-test.sock", config);
 
     RunRequest req;
     req.point.benchmark = "186.crafty";
@@ -259,14 +260,14 @@ TEST(RetryingClient, ExhaustedRetriesWrapInDeadlineExceeded)
     EXPECT_EQ(client.attemptsTotal(), 6u);
 }
 
-TEST(RetryingClient, DeadlineBudgetBoundsTotalWallTime)
+TEST(ServeClientRetry, DeadlineBudgetBoundsTotalWallTime)
 {
     BackoffConfig config;
     config.base_ms = 20;
     config.cap_ms = 40;
     config.max_attempts = 1000;
     config.deadline_ms = 120;
-    RetryingClient client("unix:/nonexistent/thermctl-test.sock", config);
+    ServeClient client("unix:/nonexistent/thermctl-test.sock", config);
 
     RunRequest req;
     req.point.benchmark = "186.crafty";
@@ -282,9 +283,9 @@ TEST(RetryingClient, DeadlineBudgetBoundsTotalWallTime)
     EXPECT_GT(client.attemptsTotal(), 1u);
 }
 
-TEST(RetryingClient, ReconnectTimeIsChargedAgainstTheDeadline)
+TEST(ServeClientRetry, ReconnectTimeIsChargedAgainstTheDeadline)
 {
-    // Regression: ensureConnected() used to dial with an unbounded
+    // Regression: the reconnect used to dial with an unbounded
     // blocking connect, and the deadline was only consulted *after*
     // each attempt — a worker whose accept queue hung could stretch
     // one request far past its budget. Demand the deadline holds.
@@ -297,7 +298,7 @@ TEST(RetryingClient, ReconnectTimeIsChargedAgainstTheDeadline)
     config.max_attempts = 1000;
     config.deadline_ms = 300;
     config.connect_timeout_ms = 100; // each dial bounded well below
-    RetryingClient client(listener.endpoint(), config);
+    ServeClient client(listener.endpoint(), config);
 
     RunRequest req;
     req.point.benchmark = "186.crafty";
@@ -317,7 +318,7 @@ TEST(RetryingClient, ReconnectTimeIsChargedAgainstTheDeadline)
     EXPECT_GT(client.attemptsTotal(), 1u);
 }
 
-TEST(RetryingClient, DialTimeoutIsCappedByRemainingDeadline)
+TEST(ServeClientRetry, DialTimeoutIsCappedByRemainingDeadline)
 {
     // A connect_timeout_ms far above the deadline must not win: the
     // dial is bounded by min(connect_timeout, remaining budget), so a
@@ -329,7 +330,7 @@ TEST(RetryingClient, DialTimeoutIsCappedByRemainingDeadline)
     config.max_attempts = 1;
     config.deadline_ms = 100;
     config.connect_timeout_ms = 5000;
-    RetryingClient client(listener.endpoint(), config);
+    ServeClient client(listener.endpoint(), config);
 
     RunRequest req;
     req.point.benchmark = "186.crafty";

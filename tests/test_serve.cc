@@ -25,7 +25,6 @@
 #include "common/logging.hh"
 #include "fault/fault.hh"
 #include "serve/client.hh"
-#include "serve/connect.hh"
 #include "serve/protocol.hh"
 #include "serve/scheduler.hh"
 #include "serve/server.hh"
@@ -620,7 +619,7 @@ TEST(ServeServer, ConcurrentClientsMatchDirectRunsBitExactly)
     clients.reserve(policies.size());
     for (std::size_t i = 0; i < policies.size(); ++i) {
         clients.emplace_back([&, i] {
-            ServeClient c = ServeClient::connectUnix(opts.unix_path);
+            ServeClient c = ServeClient::connect(opts.unix_path);
             RunRequest req;
             req.point = fastPoint("186.crafty", policies[i]);
             replies[i] = c.run(req);
@@ -662,7 +661,7 @@ TEST(ServeServer, DuplicateConcurrentRequestsCoalesce)
     std::vector<std::thread> clients;
     for (int i = 0; i < kDup; ++i) {
         clients.emplace_back([&, i] {
-            ServeClient c = ServeClient::connectUnix(opts.unix_path);
+            ServeClient c = ServeClient::connect(opts.unix_path);
             RunRequest req;
             req.point = fastPoint("179.art", "PI");
             replies[i] = c.run(req);
@@ -696,7 +695,7 @@ TEST(ServeServer, FullQueueAnswersOverloadedImmediately)
     server.scheduler().pauseDispatch();
     PointReply queued_reply;
     std::thread queued([&] {
-        ServeClient c = ServeClient::connectUnix(opts.unix_path);
+        ServeClient c = ServeClient::connect(opts.unix_path);
         RunRequest req;
         req.point = fastPoint("186.crafty");
         queued_reply = c.run(req);
@@ -705,7 +704,7 @@ TEST(ServeServer, FullQueueAnswersOverloadedImmediately)
         [&] { return server.scheduler().stats().submitted >= 1; }));
 
     // The queue slot is taken: a distinct point must bounce, not hang.
-    ServeClient c = ServeClient::connectUnix(opts.unix_path);
+    ServeClient c = ServeClient::connect(opts.unix_path);
     RunRequest req;
     req.point = fastPoint("179.art");
     const PointReply rejected = c.run(req);
@@ -730,7 +729,7 @@ TEST(ServeServer, SweepBatchesAndAnswersInGridOrder)
     Server server(opts);
     server.start();
 
-    ServeClient c = ServeClient::connectUnix(opts.unix_path);
+    ServeClient c = ServeClient::connect(opts.unix_path);
     SweepRequest req;
     req.benchmarks = {"186.crafty", "179.art"};
     req.policies = {"none", "PI"};
@@ -776,7 +775,7 @@ TEST(ServeServer, UnknownNamesComeBackAsBadRequest)
     Server server(opts);
     server.start();
 
-    ServeClient c = ServeClient::connectUnix(opts.unix_path);
+    ServeClient c = ServeClient::connect(opts.unix_path);
     RunRequest req;
     req.point = fastPoint("186.crafty", "warp-drive");
     const PointReply reply = c.run(req);
@@ -849,7 +848,7 @@ TEST(ServeServer, MalformedBytesGetTypedErrorThenCloseAndServerSurvives)
     }));
 
     // The event loop survived; a fresh connection is fully served.
-    ServeClient c = ServeClient::connectUnix(opts.unix_path);
+    ServeClient c = ServeClient::connect(opts.unix_path);
     RunRequest req;
     req.point = fastPoint();
     EXPECT_EQ(c.run(req).error, ServeError::None);
@@ -903,7 +902,7 @@ TEST(ServeServer, PeerHangupDuringExecutionDropsReplyAndCloses)
     }));
 
     // The server stays healthy for new clients.
-    ServeClient c = ServeClient::connectUnix(opts.unix_path);
+    ServeClient c = ServeClient::connect(opts.unix_path);
     RunRequest ok;
     ok.point = fastPoint("179.art");
     EXPECT_EQ(c.run(ok).error, ServeError::None);
@@ -985,7 +984,7 @@ TEST(ServeServer, ShortWritesAndInterruptedReadsStillDeliverExactly)
     fault::FaultInjector::instance().arm(fault::FaultPlan::parse(
         "serve.sock.write=short;serve.sock.read=eintr:every=3"));
 
-    ServeClient c = ServeClient::connectUnix(opts.unix_path);
+    ServeClient c = ServeClient::connect(opts.unix_path);
     RunRequest req;
     req.point = fastPoint("186.crafty", "PI");
     const PointReply reply = c.run(req);
@@ -1010,7 +1009,7 @@ TEST(ServeServer, AbortedConnectionComesBackAsTypedTransport)
     Server server(opts);
     server.start();
 
-    ServeClient c = ServeClient::connectUnix(opts.unix_path);
+    ServeClient c = ServeClient::connect(opts.unix_path);
     // The server aborts its first read of the request: the client sees
     // a broken connection — a typed Transport reply, not process death.
     fault::FaultInjector::instance().arm(
@@ -1022,7 +1021,7 @@ TEST(ServeServer, AbortedConnectionComesBackAsTypedTransport)
     EXPECT_EQ(broken.error, ServeError::Transport);
 
     // A fresh connection works again (the server survived the abort).
-    ServeClient c2 = ServeClient::connectUnix(opts.unix_path);
+    ServeClient c2 = ServeClient::connect(opts.unix_path);
     EXPECT_EQ(c2.run(req).error, ServeError::None);
     server.shutdown();
 }
@@ -1038,7 +1037,7 @@ TEST(ServeServer, DrainCompletesInflightThenRefusesNewWork)
     server.scheduler().pauseDispatch();
     PointReply inflight_reply;
     std::thread inflight([&] {
-        ServeClient c = ServeClient::connectUnix(opts.unix_path);
+        ServeClient c = ServeClient::connect(opts.unix_path);
         RunRequest req;
         req.point = fastPoint("186.crafty", "PI");
         inflight_reply = c.run(req);
@@ -1047,7 +1046,7 @@ TEST(ServeServer, DrainCompletesInflightThenRefusesNewWork)
         [&] { return server.scheduler().stats().submitted >= 1; }));
 
     {
-        ServeClient c = ServeClient::connectUnix(opts.unix_path);
+        ServeClient c = ServeClient::connect(opts.unix_path);
         EXPECT_FALSE(c.drain()); // first drain request
     }
     ASSERT_TRUE(waitFor([&] { return server.drainRequested(); }));
@@ -1277,7 +1276,7 @@ TEST(ServeServer, IdleConnectionsAreEvictedOnTimeout)
     Server server(opts);
     server.start();
 
-    ServeClient c = ServeClient::connectUnix(opts.unix_path);
+    ServeClient c = ServeClient::connect(opts.unix_path);
     RunRequest req;
     req.point = fastPoint("186.crafty", "none");
     ASSERT_EQ(c.run(req).error, ServeError::None);
@@ -1290,7 +1289,7 @@ TEST(ServeServer, IdleConnectionsAreEvictedOnTimeout)
     // The evicted socket is dead for the client...
     EXPECT_EQ(c.run(req).error, ServeError::Transport);
     // ...and a fresh connection works (eviction, not shutdown).
-    ServeClient c2 = ServeClient::connectUnix(opts.unix_path);
+    ServeClient c2 = ServeClient::connect(opts.unix_path);
     EXPECT_EQ(c2.run(req).error, ServeError::None);
     server.shutdown();
 }
@@ -1318,48 +1317,118 @@ TEST(ServeOptions, SchedulerSliceCarriesEveryKnob)
     EXPECT_EQ(sched.sweep.jobs, 3u);
 }
 
-TEST(ServeConnect, FactoryServesDataAndControlPlanesAlike)
+TEST(ServeClient, OneClientServesDataAndControlPlanesAlike)
 {
     const ServerOptions opts = fastServerOptions(13);
     Server server(opts);
     server.start();
 
-    ClientOptions copts;
-    copts.endpoint = "unix:" + opts.unix_path;
-    copts.retry = false;
-    const std::unique_ptr<Client> client = serve::connect(copts);
+    BackoffConfig single;
+    single.max_attempts = 1;
+    ServeClient client("unix:" + opts.unix_path, single);
+    EXPECT_FALSE(client.connected()); // dials on first use
 
     RunRequest req;
     req.point = fastPoint("186.crafty", "PI");
-    const PointReply viaFactory = client->run(req);
-    ASSERT_EQ(viaFactory.error, ServeError::None) << viaFactory.message;
+    const PointReply viaEndpoint = client.run(req);
+    ASSERT_EQ(viaEndpoint.error, ServeError::None) << viaEndpoint.message;
 
-    ServeClient direct = ServeClient::connectUnix(opts.unix_path);
+    ServeClient direct = ServeClient::connect(opts.unix_path);
     const PointReply viaDirect = direct.run(req);
     ASSERT_EQ(viaDirect.error, ServeError::None);
-    expectSameResult(viaFactory.result, viaDirect.result);
+    expectSameResult(viaEndpoint.result, viaDirect.result);
 
-    const StatsReply stats = client->stats();
+    const StatsReply stats = client.stats();
     EXPECT_GE(stats.run_requests, 2u);
-    EXPECT_EQ(client->attemptsTotal(), 1u);
+    EXPECT_EQ(client.attemptsTotal(), 1u);
     server.shutdown();
 }
 
-TEST(ServeConnect, NoRetryFactoryReportsTransportWithoutSleeping)
+TEST(ServeClient, SingleAttemptReportsTransportWithoutSleeping)
 {
-    ClientOptions copts;
-    copts.endpoint = "unix:/nonexistent/thermctl-test.sock";
-    copts.retry = false;
-    const std::unique_ptr<Client> client = serve::connect(copts);
+    BackoffConfig single;
+    single.max_attempts = 1;
+    ServeClient client("unix:/nonexistent/thermctl-test.sock", single);
 
     const auto t0 = std::chrono::steady_clock::now();
     RunRequest req;
     req.point = fastPoint();
-    const PointReply reply = client->run(req);
+    const PointReply reply = client.run(req);
     const auto elapsed = std::chrono::steady_clock::now() - t0;
     EXPECT_EQ(reply.error, ServeError::Transport);
     EXPECT_LT(std::chrono::duration<double>(elapsed).count(), 1.0);
-    EXPECT_EQ(client->attemptsTotal(), 1u);
+    EXPECT_EQ(client.attemptsTotal(), 1u);
+
+    // The control plane is strict: a transport failure is fatal, and
+    // it is not counted as a data-plane attempt.
+    EXPECT_THROW((void)client.stats(), FatalError);
+    EXPECT_EQ(client.attemptsTotal(), 1u);
+}
+
+TEST(ServeClient, RejectsMalformedTcpPortsOnBothConnectPaths)
+{
+    // std::stoi used to read "80x" as port 80 and let 0 / 70000
+    // through to getaddrinfo.
+    for (const char *port : {"80x", "0", "70000", "-1", ""}) {
+        const std::string endpoint = std::string("tcp:127.0.0.1:") + port;
+        EXPECT_THROW((void)ServeClient::connect(endpoint), FatalError)
+            << endpoint;
+        std::string error;
+        const ServeClient c = ServeClient::tryConnect(endpoint, 100, error);
+        EXPECT_FALSE(c.connected()) << endpoint;
+        EXPECT_NE(error.find("bad tcp port"), std::string::npos)
+            << endpoint << ": " << error;
+        error.clear();
+        EXPECT_EQ(dial(endpoint, 0, error), -1) << endpoint;
+        EXPECT_NE(error.find("bad tcp port"), std::string::npos) << error;
+    }
+}
+
+TEST(ServeClient, RecvTimeoutHoldsAcrossReconnects)
+{
+    // A listener that queues connections but never accepts or answers:
+    // every request stalls until the client's receive timeout fires.
+    const std::string path = testSocketPath(20);
+    ::unlink(path.c_str());
+    const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(lfd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(lfd, 8), 0);
+    // Should the timeout be lost, closing the listener resets the
+    // stalled connection, so the test fails on its timing check
+    // instead of hanging.
+    std::atomic<bool> done{false};
+    std::thread watchdog([&] {
+        waitFor([&] { return done.load(); }, 5000);
+        ::close(lfd);
+    });
+
+    BackoffConfig single;
+    single.max_attempts = 1;
+    ServeClient client("unix:" + path, single);
+    client.setRecvTimeout(150); // set before the first dial
+    RunRequest req;
+    req.point = fastPoint();
+    for (int call = 0; call < 2; ++call) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const PointReply reply = client.run(req);
+        const double s = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+        EXPECT_EQ(reply.error, ServeError::Transport) << "call " << call;
+        EXPECT_GE(s, 0.1) << "call " << call;
+        EXPECT_LT(s, 2.0) << "call " << call << ": timeout not applied";
+        // The stalled socket is dropped; the next call redials.
+        EXPECT_FALSE(client.connected());
+    }
+    EXPECT_EQ(client.attemptsTotal(), 2u);
+    done = true;
+    watchdog.join();
+    ::unlink(path.c_str());
 }
 
 // ------------------------------------------------------- ping (wire v4)
@@ -1423,7 +1492,7 @@ TEST(ServeServer, PingReportsVersionDrainAndQueueDepth)
     Server server(opts);
     server.start();
 
-    ServeClient client = ServeClient::connectUnix(opts.unix_path);
+    ServeClient client = ServeClient::connect(opts.unix_path);
     PingReply pong;
     std::string error;
     ASSERT_TRUE(client.ping(pong, error)) << error;
@@ -1436,7 +1505,7 @@ TEST(ServeServer, PingReportsVersionDrainAndQueueDepth)
     // answer from connection threads, not scheduler workers).
     server.scheduler().pauseDispatch();
     std::thread parked([&] {
-        ServeClient c = ServeClient::connectUnix(opts.unix_path);
+        ServeClient c = ServeClient::connect(opts.unix_path);
         RunRequest req;
         req.point = fastPoint("179.art", "PI");
         (void)c.run(req);
@@ -1452,7 +1521,7 @@ TEST(ServeServer, PingReportsVersionDrainAndQueueDepth)
     // connections, so a probe fails fast with a transport error rather
     // than hanging — exactly the signal a coordinator quarantines on.
     {
-        ServeClient c = ServeClient::connectUnix(opts.unix_path);
+        ServeClient c = ServeClient::connect(opts.unix_path);
         (void)c.drain();
     }
     ASSERT_TRUE(waitFor([&] { return server.drainRequested(); }));
@@ -1476,7 +1545,7 @@ TEST(ServeServer, SweepCarriesMulticoreKnobsToEveryPoint)
     spec.chip_budget = 45.0;
     spec.budget_policy = 1; // demand-proportional
 
-    ServeClient client = ServeClient::connectUnix(opts.unix_path);
+    ServeClient client = ServeClient::connect(opts.unix_path);
     RunRequest run_req;
     run_req.point = spec;
     const PointReply via_run = client.run(run_req);

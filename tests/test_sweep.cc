@@ -250,6 +250,29 @@ TEST(SweepDigest, SensitiveToEveryAxisItCovers)
     EXPECT_NE(sweepConfigDigest(base, p2), d0);
 }
 
+TEST(SweepEngine, DefaultJobsReadsWholeNumbersFromTheEnvironment)
+{
+    const char *saved = std::getenv("THERMCTL_JOBS");
+    const std::string restore = saved ? saved : "";
+    ::unsetenv("THERMCTL_JOBS");
+    const unsigned fallback = SweepEngine::defaultJobs();
+    EXPECT_GE(fallback, 1u);
+
+    ::setenv("THERMCTL_JOBS", "3", 1);
+    EXPECT_EQ(SweepEngine::defaultJobs(), 3u);
+    // strtol read "4x" as 4; now trailing garbage is ignored with a
+    // warning like every other invalid value.
+    for (const char *bad : {"4x", "0", "-2", "", " 4", "four"}) {
+        ::setenv("THERMCTL_JOBS", bad, 1);
+        EXPECT_EQ(SweepEngine::defaultJobs(), fallback) << "'" << bad << "'";
+    }
+
+    if (saved)
+        ::setenv("THERMCTL_JOBS", restore.c_str(), 1);
+    else
+        ::unsetenv("THERMCTL_JOBS");
+}
+
 TEST(SweepEngine, ParallelResultsBitIdenticalToSerial)
 {
     const SweepSpec spec = smallGrid();

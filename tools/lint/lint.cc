@@ -243,6 +243,7 @@ ruleIds()
         "raw-double-param",  "using-namespace-header",
         "reader-bounds",     "naked-mutex",
         "missing-thread-annotations", "fault-point-scope",
+        "raw-number-parse",
     };
     return ids;
 }
@@ -538,6 +539,47 @@ checkFaultPointScope(const std::string &path,
     }
 }
 
+/**
+ * raw-number-parse: numbers in text go through parseFlag()
+ * (common/flags.hh), which accepts the whole text or nothing. The C and
+ * C++ library parsers read "80x" as 80 (std::sto* also throw, strto*
+ * and ato* silently return 0), which is how bad ports, job counts and
+ * probabilities slipped through unnoticed.
+ */
+void
+checkRawNumberParse(const std::string &path, const std::vector<Token> &toks,
+                    std::vector<Finding> &findings)
+{
+    static constexpr std::array<std::string_view, 21> kParsers = {
+        "stoi",    "stol",    "stoll",     "stoul",     "stoull",
+        "stof",    "stod",    "stold",     "strtol",    "strtoll",
+        "strtoul", "strtoull", "strtof",   "strtod",    "strtold",
+        "strtoimax", "strtoumax", "atoi",  "atol",      "atoll",
+        "atof",
+    };
+    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+        const Token &t = toks[i];
+        if (t.kind != Token::Kind::Identifier || toks[i + 1].text != "("
+            || std::find(kParsers.begin(), kParsers.end(), t.text)
+                   == kParsers.end())
+            continue;
+        // A member or another namespace's function of the same name is
+        // not the library parser.
+        if (i > 0
+            && (toks[i - 1].text == "."
+                || (toks[i - 1].text == ">" && i > 1
+                    && toks[i - 2].text == "-")
+                || (toks[i - 1].text == "::" && i > 1
+                    && toks[i - 2].kind == Token::Kind::Identifier
+                    && toks[i - 2].text != "std")))
+            continue;
+        findings.push_back(
+            {path, t.line, "raw-number-parse",
+             t.text + "() accepts a numeric prefix (\"80x\" reads as 80); "
+                      "parse with parseFlag<T>() from common/flags.hh"});
+    }
+}
+
 } // namespace
 
 std::vector<Finding>
@@ -571,6 +613,9 @@ lintFile(const std::string &path, std::string_view content)
 
     if (!in_src)
         checkFaultPointScope(path, toks, findings);
+
+    if (!endsWith(path, "common/flags.hh"))
+        checkRawNumberParse(path, toks, findings);
 
     std::stable_sort(findings.begin(), findings.end(),
                      [](const Finding &a, const Finding &b) {

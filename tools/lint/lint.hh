@@ -27,6 +27,9 @@
  *                               under src/ — tests and benches arm a
  *                               FaultPlan against existing probes
  *                               rather than defining their own
+ *   raw-number-parse            no std::sto* / strto* / ato* outside
+ *                               common/flags.hh — parseFlag() takes
+ *                               the whole text or nothing
  *
  * Deliberately libclang-free: a token scan with comment/string
  * stripping is robust enough for these rules, keeps the tool a

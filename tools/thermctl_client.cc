@@ -40,7 +40,6 @@
 
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,7 +47,7 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "fault/fault.hh"
-#include "serve/connect.hh"
+#include "serve/client.hh"
 #include "serve/server.hh"
 #include "sim/policy_factory.hh"
 
@@ -267,22 +266,17 @@ main(int argc, char **argv)
 #endif
         }
 
-        // One client for every command: connect() hides the plain vs
-        // retrying split (the default --retries 1 is exactly the plain
-        // client). Control-plane calls never retry; a transport failure
-        // there throws FatalError and exits 2, as before.
-        ClientOptions copts;
-        copts.endpoint = endpoint;
-        copts.retry = backoff.max_attempts > 1;
-        copts.backoff = backoff;
-        const std::unique_ptr<Client> client = serve::connect(copts);
+        // One client for every command (the default --retries 1 is a
+        // single attempt). Control-plane calls never retry; a transport
+        // failure there throws FatalError and exits 2.
+        ServeClient client(endpoint, backoff);
 
         if (do_stats) {
-            printStats(client->stats());
+            printStats(client.stats());
             return 0;
         }
         if (do_drain) {
-            const bool was = client->drain();
+            const bool was = client.drain();
             std::cout << (was ? "server was already draining\n"
                               : "drain requested\n");
             return 0;
@@ -295,7 +289,7 @@ main(int argc, char **argv)
             req.point = knobs;
             req.point.benchmark = benches.front();
             req.point.policy = policies.front();
-            const CacheQueryReply reply = client->cacheQuery(req);
+            const CacheQueryReply reply = client.cacheQuery(req);
             std::cout << (reply.cached ? "cached" : "not cached")
                       << " (digest " << std::hex << reply.digest
                       << std::dec << ")\n";
@@ -309,7 +303,7 @@ main(int argc, char **argv)
             req.point.benchmark = benches.front();
             req.point.policy = policies.front();
             req.deadline_ms = deadline_ms;
-            points.push_back(client->run(req));
+            points.push_back(client.run(req));
         } else {
             SweepRequest req;
             req.benchmarks = benches;
@@ -323,7 +317,7 @@ main(int argc, char **argv)
             req.chip_budget = knobs.chip_budget;
             req.budget_policy = knobs.budget_policy;
             req.deadline_ms = deadline_ms;
-            points = client->sweep(req).points;
+            points = client.sweep(req).points;
         }
 
         int failures = 0;

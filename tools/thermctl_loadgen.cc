@@ -51,12 +51,8 @@
  * exit nonzero).
  */
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -74,6 +70,7 @@
 #include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "sim/config.hh"
 #include "serve/server.hh"
@@ -156,78 +153,6 @@ class FakeWork
 };
 
 // ------------------------------------------------------ connections
-
-/**
- * Connect to the daemon. Endpoint parse errors are always fatal (a bad
- * flag never gets better); socket/connect failures are fatal only when
- * `must_succeed` — reconnects mid-run return -1 instead, so a server
- * that drains or restarts costs transport errors, not the whole run.
- */
-int
-dial(const std::string &endpoint, bool must_succeed = true)
-{
-    std::string path = endpoint;
-    if (endpoint.rfind("tcp:", 0) == 0) {
-        const std::string rest = endpoint.substr(4);
-        const std::size_t colon = rest.rfind(':');
-        if (colon == std::string::npos)
-            fatal("loadgen: bad tcp endpoint '", endpoint, "'");
-        std::string host = rest.substr(0, colon);
-        const int port = parseFlag<int>("loadgen: tcp port",
-                                         rest.substr(colon + 1));
-        if (host == "localhost")
-            host = "127.0.0.1";
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<std::uint16_t>(port));
-        if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
-            fatal("loadgen: bad tcp host '", host, "' (numeric only)");
-        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0) {
-            if (must_succeed)
-                fatal("loadgen: socket: ", std::strerror(errno));
-            return -1;
-        }
-        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr))
-            != 0) {
-            if (must_succeed) {
-                fatal("loadgen: connect(", endpoint,
-                      "): ", std::strerror(errno));
-            }
-            const int saved = errno;
-            ::close(fd);
-            errno = saved; // callers report the connect failure
-            return -1;
-        }
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        return fd;
-    }
-    if (endpoint.rfind("unix:", 0) == 0)
-        path = endpoint.substr(5);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (path.size() >= sizeof(addr.sun_path))
-        fatal("loadgen: socket path too long: ", path);
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-        if (must_succeed)
-            fatal("loadgen: socket: ", std::strerror(errno));
-        return -1;
-    }
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr))
-        != 0) {
-        if (must_succeed)
-            fatal("loadgen: connect(", path, "): ", std::strerror(errno));
-        const int saved = errno;
-        ::close(fd);
-        errno = saved; // callers report the connect failure
-        return -1;
-    }
-    return fd;
-}
 
 /** One scheduled arrival. */
 struct Arrival
@@ -479,7 +404,10 @@ main(int argc, char **argv)
         std::vector<Conn> pool(conns);
         for (std::size_t i = 0; i < pool.size(); ++i) {
             pool[i].endpoint = endpoints[i % endpoints.size()];
-            pool[i].fd = dial(pool[i].endpoint);
+            std::string error;
+            pool[i].fd = serve::dial(pool[i].endpoint, 0, error);
+            if (pool[i].fd < 0)
+                fatal("loadgen: ", error);
         }
 
         Tally tally;
@@ -512,10 +440,10 @@ main(int argc, char **argv)
             c.woff = 0;
             c.assembler = FrameAssembler();
             ::close(c.fd);
-            c.fd = dial(c.endpoint, /*must_succeed=*/false);
+            std::string error;
+            c.fd = serve::dial(c.endpoint, 0, error);
             if (c.fd < 0) {
-                std::cerr << "thermctl_loadgen: reconnect failed: "
-                          << std::strerror(errno)
+                std::cerr << "thermctl_loadgen: reconnect failed: " << error
                           << " (will retry on the next arrival)\n";
             }
         };
@@ -533,8 +461,10 @@ main(int argc, char **argv)
             while (next_arrival < schedule.size()
                    && schedule[next_arrival].due_s <= now_s) {
                 Conn &c = pool[rr++ % pool.size()];
-                if (c.fd < 0)
-                    c.fd = dial(c.endpoint, /*must_succeed=*/false);
+                if (c.fd < 0) {
+                    std::string error;
+                    c.fd = serve::dial(c.endpoint, 0, error);
+                }
                 if (c.fd < 0) {
                     // Still unreachable: this arrival is a transport
                     // failure, charged now (open loop — it was due).
