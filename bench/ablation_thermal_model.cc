@@ -12,10 +12,12 @@
  */
 
 #include <iostream>
+#include <vector>
 
 #include "bench_util.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "multicore/chip_model.hh"
 #include "sim/simulator.hh"
 #include "workload/spec_profiles.hh"
 
@@ -40,15 +42,18 @@ main(int argc, char **argv)
         SimConfig cfg;
         cfg.workload = specProfile(name);
         Simulator sim(cfg);
-        FullRCModel full(sim.floorplan(), cfg.thermal,
-                         cfg.power.tech.cycleSeconds());
+        // One core, no coupling: the Fig. 3B network.
+        multicore::ChipModel full(sim.floorplan(), cfg.thermal,
+                                  cfg.power.tech.cycleSeconds(),
+                                  MulticoreConfig{});
+        std::vector<PowerVector> power(1);
 
         sim.warmUp(proto.warmup_cycles);
         // Align the full model with the warmed simplified state so the
         // measured differences are purely structural (tangential paths
-        // and heatsink dynamics), not initialization artifacts.
-        full.setTemperatures(sim.thermal().temperatures(),
-                             cfg.thermal.t_base);
+        // and heatsink dynamics), not initialization artifacts. The
+        // sink is still at t_base.
+        full.setTemperatures(0, sim.thermal().temperatures());
 
         std::array<Accumulator, kNumHotspotStructures> diff;
         std::array<std::uint64_t, kNumHotspotStructures> emerg_3c{};
@@ -56,9 +61,10 @@ main(int argc, char **argv)
 
         for (std::uint64_t c = 0; c < proto.measure_cycles; ++c) {
             sim.tick();
-            full.step(sim.lastPower());
+            power[0] = sim.lastPower();
+            full.step(power);
             const auto &ts = sim.thermal().temperatures();
-            const auto &tf = full.temperatures();
+            const auto &tf = full.temperatures(0);
             for (std::size_t i = 0; i < kNumHotspotStructures; ++i) {
                 diff[i].add(std::abs(ts.value[i] - tf.value[i]));
                 if (ts.value[i] > cfg.thermal.t_emergency)

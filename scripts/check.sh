@@ -177,11 +177,20 @@ if want serve; then
     serve_pid=""
     trap 'if [ -n "${serve_pid}" ]; then kill "${serve_pid}" 2>/dev/null || true; fi; rm -rf "${smoke_dir}"' EXIT
     smoke_sock="${smoke_dir}/serve.sock"
-    # The batch window holds the first dispatch briefly so the duplicate
-    # client pair below lands while its twin is still in flight.
+    # The duplicate client pair below must land while its twin is still
+    # in flight, or the second request is a cache hit, not a coalesce.
+    # A request worker blocks until its point finishes, so the daemon
+    # needs a worker for each of the three concurrent clients: with the
+    # default two, the third request waits for a worker and, when it is
+    # a twin, arrives after the first run has published. The batch
+    # window holds the first dispatch briefly, and the sched.batch stall
+    # keeps each dispatched group in flight for 2 s more, so a twin
+    # delayed by slow (ASan) client start-up still coalesces.
     THERMCTL_FAST=1 "${base}/asan/tools/thermctl_serve" \
         --socket "${smoke_sock}" --cache-dir "${smoke_dir}/cache" \
-        --jobs 8 --batch-window-ms 300 2>"${smoke_dir}/serve.log" &
+        --jobs 8 --workers 4 --batch-window-ms 300 \
+        --fault-plan 'sched.batch=stall:ms=2000' \
+        2>"${smoke_dir}/serve.log" &
     serve_pid=$!
     for _ in $(seq 100); do
         [ -S "${smoke_sock}" ] && break

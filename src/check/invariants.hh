@@ -20,8 +20,9 @@
  *  - finiteness: temperature/power state must never go NaN/Inf;
  *  - forward-Euler stability: dt/RC ratios must stay below the
  *    divergence bound of the paper's Eq. 5 integrator;
- *  - energy balance: a FullRCModel span must conserve energy
- *    (stored delta = input - ambient loss) to rounding error;
+ *  - energy balance: a Figure 3B network span (multicore::ChipModel)
+ *    must conserve energy (stored delta = input - ambient loss) to
+ *    rounding error;
  *  - PID contract: output clamped to [out_min, out_max], integral term
  *    clamped / conditionally frozen per the paper's Section 3.3.
  */
@@ -89,7 +90,8 @@ void verifyPidContract(double output, double integral_term, double out_min,
                        const char *where);
 
 /**
- * Energy-balance audit for a FullRCModel span: forward Euler is exactly
+ * Energy-balance audit for a multicore::ChipModel span (the Figure 3B
+ * network, one or more cores): forward Euler is exactly
  * conservative (per-step, with pre-step temperatures), so
  *
  *      E_stored_after - E_stored_before = E_input - E_ambient_loss

@@ -26,7 +26,7 @@ ChipModel::ChipModel(const Floorplan &floorplan, const ThermalConfig &cfg,
     for (std::size_t c = 0; c < n; ++c)
         temps_[c].value.fill(cfg.t_base);
 
-    // Per-core network: identical construction to FullRCModel.
+    // Per-core network: the Figure 3B block conductances.
     for (StructureId id : kAllStructures) {
         const std::size_t i = static_cast<std::size_t>(id);
         conductance_[i][kNumStructures] =
@@ -72,8 +72,11 @@ ChipModel::ChipModel(const Floorplan &floorplan, const ThermalConfig &cfg,
                   "couple (degenerate layout?)");
     }
 
-    // Forward-Euler stability guard, as in FullRCModel, with the
-    // coupling conductance added to each boundary block's total.
+    // Forward-Euler stability guard: each node's total conductance over
+    // its capacitance bounds the integration rate; Eq. 5 diverges once
+    // dt exceeds 2 C / G_total (we insist on the stricter
+    // non-oscillating dt < C / G_total). Coupling conductance adds to
+    // each boundary block's total.
     double sink_g_total = sink_to_ambient_g_;
     for (StructureId id : kAllStructures) {
         const std::size_t i = static_cast<std::size_t>(id);
@@ -135,8 +138,8 @@ ChipModel::step(const std::vector<PowerVector> &power)
     }
 
     // Lateral exchange across each adjacent-core seam. Empty when
-    // num_cores == 1 or coupling is disabled, preserving bit-exact
-    // FullRCModel behaviour in the single-core case.
+    // num_cores == 1 or coupling is disabled, so the single-core case
+    // is exactly the Figure 3B network.
     for (std::size_t c = 0; c + 1 < n; ++c) {
         for (const CouplingPath &cp : coupling_) {
             const double q = cp.conductance
@@ -168,8 +171,8 @@ void
 ChipModel::stepSpan(const std::vector<PowerVector> &power,
                     std::uint64_t cycles)
 {
-    // Same sub-stepping policy as FullRCModel: forward Euler stays
-    // stable well below the smallest node time constant; chunk at 1 us.
+    // Forward Euler stays stable well below the smallest node time
+    // constant; sub-step in chunks of at most 1 us.
     const double max_chunk_s = 1e-6;
     const std::uint64_t chunk_cycles = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(max_chunk_s / dt_));
@@ -261,6 +264,12 @@ ChipModel::setUniform(Celsius t)
     for (TemperatureVector &tv : temps_)
         tv.value.fill(t);
     t_sink_ = t;
+}
+
+void
+ChipModel::setTemperatures(std::size_t core, const TemperatureVector &temps)
+{
+    temps_.at(core) = temps;
 }
 
 } // namespace thermctl::multicore

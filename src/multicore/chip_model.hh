@@ -2,20 +2,21 @@
  * @file
  * N-core lumped thermal-RC network (ROADMAP item 2; DESIGN.md §15).
  *
- * Each core is a full paper floorplan wired exactly like FullRCModel
- * (Figure 3B: per-block normal paths plus tangential resistances), all
- * cores share ONE heat-spreader/heatsink node whose capacitance and
- * ambient conductance scale with the core count, and adjacent cores in
- * the row exchange heat through lateral coupling resistances between
- * their facing boundary blocks (the blocks that touch the die's
- * vertical edges — cores are mirrored, so the same structure faces
- * itself across the seam).
+ * Each core is a full paper floorplan wired as the paper's detailed
+ * Figure 3B network: per-block normal paths to the heatsink plus
+ * tangential block-to-block resistances. All cores share ONE
+ * heat-spreader/heatsink node whose capacitance and ambient conductance
+ * scale with the core count, and adjacent cores in the row exchange heat
+ * through lateral coupling resistances between their facing boundary
+ * blocks (the blocks that touch the die's vertical edges — cores are
+ * mirrored, so the same structure faces itself across the seam).
  *
- * With num_cores == 1 the network degenerates to FullRCModel: the
- * coupling list is empty, the sink parameters reduce to the single-chip
- * values, and step() performs the identical floating-point operations
- * in the identical order, so the two models are bit-identical
- * (tests/test_multicore.cc holds that as a regression).
+ * With num_cores == 1 (a default MulticoreConfig) the coupling list is
+ * empty and the sink parameters reduce to the single-chip values: the
+ * model IS the single-core Figure 3B network, the reference the paper's
+ * simplified Figure 3C model (SimplifiedRCModel) is checked against
+ * (bench/ablation_thermal_model). tests/test_multicore.cc pins its
+ * one-core trajectory bit-for-bit.
  */
 
 #ifndef THERMCTL_MULTICORE_CHIP_MODEL_HH
@@ -71,6 +72,10 @@ class ChipModel
 
     /** Set every block of every core and the sink to `t`. */
     void setUniform(Celsius t);
+
+    /** Copy one core's block temperatures (e.g. from a simplified-model
+     *  state); the sink keeps its current temperature. */
+    void setTemperatures(std::size_t core, const TemperatureVector &temps);
 
     const TemperatureVector &temperatures(std::size_t core) const
     {

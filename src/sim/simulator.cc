@@ -8,25 +8,21 @@
 namespace thermctl
 {
 
-namespace
-{
-
-/** Build the instruction source: a recorded trace or the generator. */
 std::unique_ptr<InstructionStream>
-makeStream(const SimConfig &cfg)
+makeInstructionStream(const SimConfig &cfg, std::size_t core_index)
 {
     if (!cfg.trace_path.empty()) {
         return std::make_unique<TraceReader>(cfg.trace_path,
                                              cfg.trace_loop);
     }
-    return std::make_unique<SyntheticWorkload>(cfg.workload);
+    WorkloadProfile profile = cfg.workload;
+    profile.seed += core_index;
+    return std::make_unique<SyntheticWorkload>(profile);
 }
-
-} // namespace
 
 Simulator::Simulator(const SimConfig &cfg)
     : cfg_(cfg),
-      workload_(makeStream(cfg)),
+      workload_(makeInstructionStream(cfg)),
       memory_(cfg.memory),
       core_(cfg.cpu, *workload_, memory_),
       power_(cfg.power, cfg.cpu, cfg.memory),

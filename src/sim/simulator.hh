@@ -66,6 +66,16 @@ struct SimulatorStats
     }
 };
 
+/**
+ * Build one core's instruction source: the recorded trace when
+ * cfg.trace_path is set, else the synthetic generator. The generator's
+ * seed is offset by `core_index` so the cores of a multicore chip run
+ * decorrelated instances of the same profile (identical seeds would
+ * phase-lock every core's activity); core 0 runs cfg.workload as is.
+ */
+std::unique_ptr<InstructionStream>
+makeInstructionStream(const SimConfig &cfg, std::size_t core_index = 0);
+
 /** One fully wired simulation instance. */
 class Simulator
 {

@@ -107,159 +107,6 @@ SimplifiedRCModel::steadyState(StructureId id, Watts p) const
     return cfg_.t_base + p * floorplan_.block(id).resistance;
 }
 
-// --------------------------------------------------------------- FullRCModel
-
-FullRCModel::FullRCModel(const Floorplan &floorplan,
-                         const ThermalConfig &cfg, Seconds dt)
-    : floorplan_(floorplan), cfg_(cfg), dt_(dt), t_sink_(cfg.t_base)
-{
-    if (dt.value() <= 0.0)
-        fatal("FullRCModel: dt must be positive");
-    for (StructureId id : kAllStructures) {
-        const std::size_t i = static_cast<std::size_t>(id);
-        temps_.value[i] = cfg.t_base;
-        conductance_[i][kNumStructures] =
-            1.0 / floorplan.block(id).resistance;
-    }
-    for (const auto &tan : floorplan.tangential()) {
-        const std::size_t a = static_cast<std::size_t>(tan.a);
-        const std::size_t b = static_cast<std::size_t>(tan.b);
-        const double g = 1.0 / tan.resistance;
-        conductance_[a][b] += g;
-        conductance_[b][a] += g;
-    }
-    sink_to_ambient_g_ = 1.0 / floorplan.config().chip_resistance;
-
-    // Forward-Euler stability guard at construction: each node's total
-    // conductance over its capacitance bounds the integration rate; Eq. 5
-    // diverges once dt exceeds 2 C / G_total (we insist on the stricter
-    // non-oscillating dt < C / G_total).
-    double sink_g_total = sink_to_ambient_g_;
-    for (StructureId id : kAllStructures) {
-        const std::size_t i = static_cast<std::size_t>(id);
-        double g_total = 0.0;
-        for (std::size_t j = 0; j <= kNumStructures; ++j)
-            g_total += conductance_[i][j];
-        sink_g_total += conductance_[i][kNumStructures];
-        const double rate = g_total / floorplan.block(id).capacitance;
-        max_g_over_c_ = std::max(max_g_over_c_, rate);
-        if (dt.value() * rate >= 1.0)
-            fatal("FullRCModel: dt too large for block ",
-                  structureName(id), " (forward Euler unstable)");
-    }
-    const double sink_rate =
-        sink_g_total / floorplan.config().chip_capacitance;
-    max_g_over_c_ = std::max(max_g_over_c_, sink_rate);
-    if (dt.value() * sink_rate >= 1.0)
-        fatal("FullRCModel: dt too large for the heatsink node "
-              "(forward Euler unstable)");
-}
-
-void
-FullRCModel::step(const PowerVector &power)
-{
-    THERMCTL_INVARIANT(check::verifyFinite(power, "FullRCModel::step"));
-    std::array<double, kNumStructures> flow{};
-    double sink_flow = 0.0;
-
-    for (std::size_t i = 0; i < kNumStructures; ++i) {
-        double q = power.value[i];
-        // Tangential exchange.
-        for (std::size_t j = 0; j < kNumStructures; ++j) {
-            if (conductance_[i][j] != 0.0) {
-                q -= conductance_[i][j]
-                    * (temps_.value[i] - temps_.value[j]);
-            }
-        }
-        // Normal path to the heatsink node.
-        const double to_sink = conductance_[i][kNumStructures]
-            * (temps_.value[i] - t_sink_);
-        q -= to_sink;
-        sink_flow += to_sink;
-        flow[i] = q;
-    }
-
-    for (StructureId id : kAllStructures) {
-        const std::size_t i = static_cast<std::size_t>(id);
-        temps_.value[i] += dt_ * flow[i]
-            / floorplan_.block(id).capacitance;
-    }
-
-    sink_flow -= sink_to_ambient_g_
-        * (t_sink_ - floorplan_.config().ambient);
-    t_sink_ += dt_ * sink_flow / floorplan_.config().chip_capacitance;
-    THERMCTL_INVARIANT(check::verifyFinite(temps_, "FullRCModel::step"));
-}
-
-void
-FullRCModel::stepSpan(const PowerVector &power, std::uint64_t cycles)
-{
-    // Forward Euler stays stable as long as dt is well below the
-    // smallest node time constant; sub-step in chunks of at most 1 us.
-    const double max_chunk_s = 1e-6;
-    const std::uint64_t chunk_cycles = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(max_chunk_s / dt_));
-    std::uint64_t remaining = cycles;
-    const Seconds saved_dt = dt_;
-
-#if THERMCTL_INVARIANTS_ENABLED
-    // Energy-balance audit: forward Euler with pre-step temperatures is
-    // exactly conservative, so stored delta must equal input minus
-    // ambient loss to rounding error over the whole span.
-    check::EnergyAudit audit;
-    const auto storedEnergy = [this]() -> Joules {
-        Joules e = 0.0;
-        for (StructureId id : kAllStructures) {
-            e += floorplan_.block(id).capacitance
-                * Kelvin(temps_[id].value());
-        }
-        e += floorplan_.config().chip_capacitance
-            * Kelvin(t_sink_.value());
-        return e;
-    };
-    audit.setStoredBefore(storedEnergy());
-    const Watts p_total = power.total();
-#endif
-
-    while (remaining > 0) {
-        const std::uint64_t n = std::min(remaining, chunk_cycles);
-        const Seconds chunk = saved_dt * static_cast<double>(n);
-        THERMCTL_INVARIANT(check::verifyEulerStable(
-            chunk.value() * max_g_over_c_, 1.0, "FullRCModel::stepSpan",
-            "stiffest node"));
-#if THERMCTL_INVARIANTS_ENABLED
-        audit.addInput(p_total * chunk);
-        audit.addAmbientLoss(
-            Watts(sink_to_ambient_g_
-                  * (t_sink_ - floorplan_.config().ambient))
-            * chunk);
-#endif
-        dt_ = chunk;
-        step(power);
-        dt_ = saved_dt;
-        remaining -= n;
-    }
-
-#if THERMCTL_INVARIANTS_ENABLED
-    audit.setStoredAfter(storedEnergy());
-    audit.verify("FullRCModel::stepSpan");
-#endif
-}
-
-void
-FullRCModel::setUniform(Celsius t)
-{
-    temps_.value.fill(t);
-    t_sink_ = t;
-}
-
-void
-FullRCModel::setTemperatures(const TemperatureVector &temps, Celsius sink)
-{
-    temps_ = temps;
-    t_sink_ = sink;
-}
-
 // ------------------------------------------------------------ ChipLevelModel
 
 ChipLevelModel::ChipLevelModel(const FloorplanConfig &cfg, Celsius initial,

@@ -9,10 +9,9 @@
  * exponential solution (the two agree to first order in dt/RC; the exact
  * form is used to accelerate long idle spans and as a test oracle).
  *
- * FullRCModel is the Figure 3B network: tangential block-to-block
- * resistances plus an explicit heatsink node with its own (much larger)
- * RC to ambient. It exists to validate the simplification the paper
- * argues for (bench/ablation_thermal_model).
+ * The detailed Figure 3B network (tangential block-to-block resistances
+ * plus an explicit heatsink node) is multicore::ChipModel at one core;
+ * bench/ablation_thermal_model validates the simplification against it.
  *
  * ChipLevelModel tracks the single chip-wide RC (paper Table 3 last row)
  * whose ~seconds time constant is the reason chip-wide temperature cannot
@@ -135,45 +134,6 @@ class SimplifiedRCModel
     std::array<double, kNumStructures> inv_c_{};  ///< dt / C
     std::array<double, kNumStructures> inv_rc_{}; ///< dt / (R*C)
     double max_inv_rc_ = 0.0; ///< stiffest block's dt / (R*C)
-};
-
-/** The paper's detailed RC network (Figure 3B) with tangential paths. */
-class FullRCModel
-{
-  public:
-    FullRCModel(const Floorplan &floorplan, const ThermalConfig &cfg,
-                Seconds dt);
-
-    /** Advance one cycle (forward Euler over the full network). */
-    void step(const PowerVector &power);
-
-    /**
-     * Advance `cycles` cycles under constant power, internally
-     * sub-stepping at a numerically safe interval.
-     */
-    void stepSpan(const PowerVector &power, std::uint64_t cycles);
-
-    /** Set every block and the heatsink node to the given temperature. */
-    void setUniform(Celsius t);
-
-    /** Copy block temperatures (e.g. from a simplified-model state). */
-    void setTemperatures(const TemperatureVector &temps, Celsius sink);
-
-    const TemperatureVector &temperatures() const { return temps_; }
-    Celsius heatsinkTemperature() const { return t_sink_; }
-
-  private:
-    const Floorplan &floorplan_;
-    ThermalConfig cfg_;
-    Seconds dt_;
-    TemperatureVector temps_;
-    Celsius t_sink_;
-    /** Conductances: [i][j] between blocks, [i][N] block to sink. */
-    std::array<std::array<double, kNumStructures + 1>,
-               kNumStructures>
-        conductance_{};
-    double sink_to_ambient_g_ = 0.0;
-    double max_g_over_c_ = 0.0; ///< stiffest node's total G / C, 1/s
 };
 
 /** Chip-wide single-RC model (paper Table 3 "chip" row). */

@@ -19,6 +19,7 @@
 #include "check/invariants.hh"
 #include "common/logging.hh"
 #include "control/pid.hh"
+#include "multicore/chip_model.hh"
 #include "thermal/floorplan.hh"
 #include "thermal/rc_model.hh"
 
@@ -115,9 +116,11 @@ TEST(CheckEuler, UnstableDtRejectedAtConstruction)
     Floorplan fp;
     ThermalConfig cfg;
     // 1 ms per step is far beyond every block's tens-of-microseconds
-    // time constant: both models must refuse to integrate Eq. 5.
+    // time constant: both models (Fig. 3C and the one-core Fig. 3B
+    // network) must refuse to integrate Eq. 5.
     EXPECT_THROW(SimplifiedRCModel(fp, cfg, 1e-3), FatalError);
-    EXPECT_THROW(FullRCModel(fp, cfg, 1e-3), FatalError);
+    EXPECT_THROW(multicore::ChipModel(fp, cfg, 1e-3, MulticoreConfig{}),
+                 FatalError);
 }
 
 // ----------------------------------------------------------- PID contract
@@ -207,12 +210,12 @@ TEST(Instrumented, StepScaledRejectsDestabilizingMultiplier)
 TEST(Instrumented, FullModelSpanAuditsEnergyBalance)
 {
     Floorplan fp;
-    FullRCModel model(fp, ThermalConfig{}, kDt);
+    multicore::ChipModel model(fp, ThermalConfig{}, kDt, MulticoreConfig{});
     PowerVector p;
     p.value.fill(2.0);
     // A long span (heavily chunked) must close the energy balance.
-    EXPECT_NO_THROW(model.stepSpan(p, 3'000'000));
-    EXPECT_GT(model.temperatures().maxHotspot().value(),
+    EXPECT_NO_THROW(model.stepSpan({p}, 3'000'000));
+    EXPECT_GT(model.temperatures(0).maxHotspot().value(),
               ThermalConfig{}.t_base.value());
 }
 

@@ -2,13 +2,20 @@
  * @file
  * End-to-end integration tests reproducing the paper's key claims in
  * miniature: CT-DTM holds the chip out of thermal emergency with far
- * less performance loss than fixed-response toggling, and the boxcar
- * power proxy misses localized emergencies that the RC model sees.
+ * less performance loss than fixed-response toggling, the boxcar
+ * power proxy misses localized emergencies that the RC model sees, and
+ * the simplified per-block network (Fig. 3C) tracks the detailed one
+ * (Fig. 3B) closely on a live power trace.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "common/stats.hh"
+#include "multicore/chip_model.hh"
 #include "sim/experiment.hh"
 #include "thermal/boxcar.hh"
 #include "workload/spec_profiles.hh"
@@ -177,6 +184,49 @@ TEST(Integration, ChipWideProxyMissesLocalizedEmergencies)
     }
     EXPECT_GT(cmp.reference_emergencies, 1000u);
     EXPECT_GT(cmp.missRate(), 0.9);
+}
+
+TEST(Integration, SimplifiedModelTracksDetailedNetwork)
+{
+    // Paper Section 4.3: dropping the tangential resistances and freezing
+    // the heatsink (Fig. 3B -> Fig. 3C) costs very little accuracy. Drive
+    // both networks with the identical per-cycle power of a live run,
+    // starting from the same warmed state, and bound every hot-spot
+    // block's worst-case disagreement by 15% of its smallest rise above
+    // the base temperature over the window (the isolated-block bound of
+    // FullRC.MatchesSimplifiedWhenIsolated).
+    SimConfig cfg;
+    cfg.workload = specProfile("186.crafty");
+    Simulator sim(cfg);
+    multicore::ChipModel full(sim.floorplan(), cfg.thermal,
+                              cfg.power.tech.cycleSeconds(),
+                              MulticoreConfig{});
+    sim.warmUp(120000);
+    full.setTemperatures(0, sim.thermal().temperatures());
+
+    std::array<double, kNumHotspotStructures> max_diff{};
+    std::array<double, kNumHotspotStructures> min_rise{};
+    min_rise.fill(std::numeric_limits<double>::max());
+    std::vector<PowerVector> power(1);
+    for (int c = 0; c < 300000; ++c) {
+        sim.tick();
+        power[0] = sim.lastPower();
+        full.step(power);
+        const TemperatureVector &ts = sim.thermal().temperatures();
+        const TemperatureVector &tf = full.temperatures(0);
+        for (std::size_t i = 0; i < kNumHotspotStructures; ++i) {
+            max_diff[i] =
+                std::max(max_diff[i], std::abs(ts.value[i] - tf.value[i]));
+            min_rise[i] = std::min(
+                min_rise[i], (ts.value[i] - cfg.thermal.t_base).value());
+        }
+    }
+    for (std::size_t i = 0; i < kNumHotspotStructures; ++i) {
+        EXPECT_GT(min_rise[i], 0.0)
+            << structureName(static_cast<StructureId>(i));
+        EXPECT_LE(max_diff[i], 0.15 * min_rise[i])
+            << structureName(static_cast<StructureId>(i));
+    }
 }
 
 } // namespace

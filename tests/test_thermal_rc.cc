@@ -2,7 +2,8 @@
  * @file
  * Tests for the lumped thermal-RC models: the paper's Eq. 5 difference
  * equation vs. the closed-form exponential, steady states, warm starts,
- * the full tangential network, and the chip-level model.
+ * the full tangential network (Fig. 3B: a one-core multicore::ChipModel),
+ * and the chip-level model.
  */
 
 #include <cmath>
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "multicore/chip_model.hh"
 #include "thermal/rc_model.hh"
 
 namespace thermctl
@@ -143,7 +145,14 @@ TEST(SimplifiedRC, RejectsUnstableTimestep)
     EXPECT_THROW(SimplifiedRCModel(fp, cfg, 0.0), FatalError);
 }
 
-// ------------------------------------------------------------ FullRCModel
+// ------------------------------------------ Fig. 3B network (one core)
+
+/** The detailed Fig. 3B network: a one-core, uncoupled ChipModel. */
+multicore::ChipModel
+fullModel(const Floorplan &fp, const ThermalConfig &cfg)
+{
+    return multicore::ChipModel(fp, cfg, kDt, MulticoreConfig{});
+}
 
 TEST(FullRC, MatchesSimplifiedWhenIsolated)
 {
@@ -154,15 +163,15 @@ TEST(FullRC, MatchesSimplifiedWhenIsolated)
     Floorplan fp;
     ThermalConfig cfg;
     SimplifiedRCModel simple(fp, cfg, kDt);
-    FullRCModel full(fp, cfg, kDt);
+    multicore::ChipModel full = fullModel(fp, cfg);
 
     PowerVector p;
     p[StructureId::IntExec] = 3.0;
     simple.stepExact(p, 3'000'000);
-    full.stepSpan(p, 3'000'000);
+    full.stepSpan({p}, 3'000'000);
 
     const double t_simple = simple.temperatures()[StructureId::IntExec];
-    const double t_full = full.temperatures()[StructureId::IntExec];
+    const double t_full = full.temperatures(0)[StructureId::IntExec];
     EXPECT_LT(t_full, t_simple + 1e-9);
     EXPECT_NEAR(t_full, t_simple, 0.15 * (t_simple - cfg.t_base));
 }
@@ -171,13 +180,13 @@ TEST(FullRC, NeighboursWarmSlightly)
 {
     Floorplan fp;
     ThermalConfig cfg;
-    FullRCModel full(fp, cfg, kDt);
+    multicore::ChipModel full = fullModel(fp, cfg);
     PowerVector p;
     p[StructureId::DCache] = 5.0;
-    full.stepSpan(p, 3'000'000);
+    full.stepSpan({p}, 3'000'000);
     // The LSQ (adjacent) picks up some lateral heat; far blocks less.
-    const double lsq = full.temperatures()[StructureId::Lsq];
-    const double bpred = full.temperatures()[StructureId::Bpred];
+    const double lsq = full.temperatures(0)[StructureId::Lsq];
+    const double bpred = full.temperatures(0)[StructureId::Bpred];
     EXPECT_GT(lsq, cfg.t_base);
     EXPECT_GT(lsq, bpred);
 }
@@ -186,12 +195,12 @@ TEST(FullRC, HeatsinkMovesOnlySlowly)
 {
     Floorplan fp;
     ThermalConfig cfg;
-    FullRCModel full(fp, cfg, kDt);
+    multicore::ChipModel full = fullModel(fp, cfg);
     const double t0 = full.heatsinkTemperature();
-    full.stepSpan(uniformPower(5.0), 1'000'000); // ~0.7 ms
+    full.stepSpan({uniformPower(5.0)}, 1'000'000); // ~0.7 ms
     // Block temperatures move by degrees; the heatsink by millidegrees.
     EXPECT_LT(std::abs(full.heatsinkTemperature() - t0), 0.05);
-    EXPECT_GT(full.temperatures()[StructureId::Lsq], cfg.t_base + 1.0);
+    EXPECT_GT(full.temperatures(0)[StructureId::Lsq], cfg.t_base + 1.0);
 }
 
 // --------------------------------------------------------- ChipLevelModel
