@@ -18,6 +18,10 @@
 #                  committed baseline (.thermctl-analyze-allow); one
 #                  invocation over the whole tree so cross-file edges
 #                  are visible
+#   perf-smoke     every benchmark workload (perf/run.sh --smoke) at 1/20
+#                  size in its pinned build-perf/ tree; any failed op,
+#                  a golden-digest mismatch included, fails the stage —
+#                  the broadest bit-identity gate for a simulator change
 #   thread-safety  compile with Clang Thread Safety Analysis as errors
 #                  (THERMCTL_THREAD_SAFETY=ON; skipped when clang++ is
 #                  absent)
@@ -78,7 +82,7 @@ cd "${repo_root}"
 jobs="$(nproc 2>/dev/null || echo 4)"
 base="build-check"
 
-all_stages="format plain lint analyze thread-safety asan serve multicore loadgen-smoke chaos-smoke cluster-smoke tsan fuzz-replay tidy"
+all_stages="format plain lint analyze perf-smoke thread-safety asan serve multicore loadgen-smoke chaos-smoke cluster-smoke tsan fuzz-replay tidy"
 selected="all"
 while [ $# -gt 0 ]; do
     case "$1" in
@@ -145,6 +149,12 @@ if want analyze; then
         --layers .thermctl-layers --allowlist .thermctl-analyze-allow \
         --exclude tests/analyze/fixtures \
         src/ tools/ tests/ bench/ examples/
+fi
+
+if want perf-smoke; then
+    stage "perf smoke (benchmark workloads against perf/golden.txt)"
+    # perf/run.sh exits nonzero when any workload fails an op.
+    bash perf/run.sh --smoke
 fi
 
 if want thread-safety; then

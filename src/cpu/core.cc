@@ -1,6 +1,7 @@
 #include "cpu/core.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -22,6 +23,9 @@ Core::Core(const CpuConfig &cfg, InstructionStream &stream,
                       + memory_.config().tlb.miss_penalty});
     if (max_latency + 2 >= kCalendarSlots)
         fatal("completion calendar too small for configured latencies");
+    window_.resize(std::bit_ceil(cfg.window_size));
+    window_mask_ = window_.size() - 1;
+    window_head_ = next_seq_ & window_mask_;
 }
 
 void
@@ -66,9 +70,7 @@ Core::fetchStage()
 
     if (!stream_primed_) {
         pending_correct_op_ = stream_.next();
-        has_pending_correct_op_ = true;
         fetch_pc_ = pending_correct_op_.pc;
-        fetch_pc_valid_ = true;
         stream_primed_ = true;
     }
 
@@ -151,7 +153,7 @@ Core::dispatchStage()
     for (std::uint32_t n = 0; n < cfg_.dispatch_width; ++n) {
         if (frontend_.empty() || frontend_.front().ready_cycle > now_)
             break;
-        if (window_.size() >= cfg_.window_size)
+        if (window_count_ >= cfg_.window_size)
             break;
         const bool mem_op = isMemOp(frontend_.front().op.op);
         if (mem_op && lsq_occupancy_ >= cfg_.lsq_size)
@@ -160,12 +162,20 @@ Core::dispatchStage()
         FrontendEntry fe = std::move(frontend_.front());
         frontend_.pop_front();
 
-        InflightOp inflight;
+        // The slot after the tail is free; reusing it in place keeps
+        // the dependents vector's capacity.
+        const std::uint64_t seq = next_seq_++;
+        InflightOp &inflight = window_[seq & window_mask_];
         inflight.op = fe.op;
         inflight.pred = fe.pred;
+        inflight.seq = seq;
+        inflight.state = OpState::Waiting;
         inflight.wrong_path = fe.wrong_path;
         inflight.mispredicted = fe.mispredicted;
-        inflight.seq = next_seq_++;
+        inflight.in_lsq = false;
+        inflight.outstanding = 0;
+        inflight.has_forward_store = false;
+        inflight.dependents.clear();
 
         // Rename: chain each source to its youngest in-flight producer.
         for (std::uint8_t s = 0; s < inflight.op.num_srcs; ++s) {
@@ -191,15 +201,15 @@ Core::dispatchStage()
                 // Oracle disambiguation: find the youngest older store to
                 // the same 8-byte word still in flight.
                 const Addr word = inflight.op.mem_addr & ~Addr{7};
-                for (auto it = window_.rbegin(); it != window_.rend();
-                     ++it) {
-                    if (it->op.op != OpClass::Store || !it->in_lsq)
+                for (std::size_t i = window_count_; i-- > 0;) {
+                    InflightOp &older = windowAt(i);
+                    if (older.op.op != OpClass::Store || !older.in_lsq)
                         continue;
-                    if ((it->op.mem_addr & ~Addr{7}) != word)
+                    if ((older.op.mem_addr & ~Addr{7}) != word)
                         continue;
                     inflight.has_forward_store = true;
-                    if (it->state != OpState::Complete) {
-                        it->dependents.push_back(inflight.seq);
+                    if (older.state != OpState::Complete) {
+                        older.dependents.push_back(inflight.seq);
                         ++inflight.outstanding;
                     }
                     break;
@@ -215,9 +225,9 @@ Core::dispatchStage()
         ++activity_.dispatched_ops;
         ++activity_.decoded_ops;
 
-        window_.push_back(std::move(inflight));
-        if (window_.back().outstanding == 0)
-            markReady(window_.back());
+        ++window_count_;
+        if (inflight.outstanding == 0)
+            markReady(inflight);
     }
 }
 
@@ -251,8 +261,7 @@ Core::issueStage()
     std::uint32_t fp_alu_units = cfg_.num_fp_alu;
     std::uint32_t fp_mult_units = cfg_.num_fp_mult;
 
-    std::vector<std::uint64_t> stash;
-
+    stash_.clear();
     while (!ready_.empty() && (int_slots > 0 || fp_slots > 0)) {
         const std::uint64_t seq = ready_.top();
         ready_.pop();
@@ -346,7 +355,7 @@ Core::issueStage()
         }
 
         if (!can_issue) {
-            stash.push_back(seq);
+            stash_.push_back(seq);
             continue;
         }
 
@@ -359,7 +368,7 @@ Core::issueStage()
         scheduleCompletion(seq, now_ + latency);
     }
 
-    for (std::uint64_t seq : stash)
+    for (std::uint64_t seq : stash_)
         ready_.push(seq);
 }
 
@@ -381,10 +390,11 @@ Core::completeStage()
     auto &slot = calendar_[now_ % kCalendarSlots];
     if (slot.empty())
         return;
-    std::vector<std::uint64_t> completing;
-    completing.swap(slot);
+    // The swap hands the slot the previous cycle's emptied buffer.
+    completing_.clear();
+    completing_.swap(slot);
 
-    for (std::uint64_t seq : completing) {
+    for (std::uint64_t seq : completing_) {
         InflightOp *op = findOp(seq);
         if (!op || op->state != OpState::Issued)
             continue; // squashed since issue
@@ -406,7 +416,6 @@ Core::completeStage()
             squashYoungerThan(seq);
             on_wrong_path_ = false;
             fetch_pc_ = resume_pc;
-            fetch_pc_valid_ = true;
             if (fetch_stall_until_ < now_ + 1)
                 fetch_stall_until_ = now_ + 1;
         }
@@ -441,9 +450,9 @@ void
 Core::commitStage()
 {
     for (std::uint32_t n = 0; n < cfg_.commit_width; ++n) {
-        if (window_.empty())
+        if (window_count_ == 0)
             break;
-        InflightOp &head = window_.front();
+        InflightOp &head = windowAt(0);
         if (head.state != OpState::Complete)
             break;
 
@@ -469,7 +478,8 @@ Core::commitStage()
 
         ++stats_.committed;
         ++activity_.committed_ops;
-        window_.pop_front();
+        window_head_ = (window_head_ + 1) & window_mask_;
+        --window_count_;
     }
 }
 
@@ -478,18 +488,24 @@ Core::commitStage()
 void
 Core::squashYoungerThan(std::uint64_t seq)
 {
-    while (!window_.empty() && window_.back().seq > seq) {
-        if (window_.back().in_lsq)
+    while (window_count_ > 0 && windowAt(window_count_ - 1).seq > seq) {
+        if (windowAt(window_count_ - 1).in_lsq)
             --lsq_occupancy_;
-        window_.pop_back();
+        --window_count_;
     }
+    // Keep the live window contiguous in slot space: the next seq must
+    // map to the slot after the surviving tail.
+    const std::uint64_t tail_slot =
+        (window_head_ + window_count_) & window_mask_;
+    next_seq_ += (tail_slot - next_seq_) & window_mask_;
     frontend_.clear();
 
     // Rebuild the rename map and the unresolved-branch count from the
     // surviving window contents.
     last_writer_.fill(0);
     unresolved_branches_ = 0;
-    for (const auto &op : window_) {
+    for (std::size_t i = 0; i < window_count_; ++i) {
+        const InflightOp &op = windowAt(i);
         if (op.op.hasDest())
             last_writer_[op.op.dest] = op.seq;
         if (op.op.is_conditional && op.state != OpState::Complete)
@@ -500,14 +516,13 @@ Core::squashYoungerThan(std::uint64_t seq)
 Core::InflightOp *
 Core::findOp(std::uint64_t seq)
 {
-    // Window seqs are strictly increasing but may have gaps after
-    // squashes (seqs are never reused), so locate by binary search.
-    auto it = std::lower_bound(
-        window_.begin(), window_.end(), seq,
-        [](const InflightOp &op, std::uint64_t s) { return op.seq < s; });
-    if (it == window_.end() || it->seq != seq)
+    // Live means inside the window's slot range AND carrying this seq:
+    // a squashed or retired op may still sit in its old slot.
+    InflightOp &op = window_[seq & window_mask_];
+    if (((seq - window_head_) & window_mask_) >= window_count_
+        || op.seq != seq)
         return nullptr;
-    return &*it;
+    return &op;
 }
 
 } // namespace thermctl

@@ -119,7 +119,7 @@ class Core
     const CpuConfig &config() const { return cfg_; }
 
     /** In-flight window occupancy (for tests and probes). */
-    std::size_t windowOccupancy() const { return window_.size(); }
+    std::size_t windowOccupancy() const { return window_count_; }
     std::size_t lsqOccupancy() const { return lsq_occupancy_; }
 
     /** Reset the behavioural statistics (start of a measurement phase). */
@@ -146,7 +146,6 @@ class Core
         bool mispredicted = false;   ///< effective prediction was wrong
         bool in_lsq = false;
         std::uint8_t outstanding = 0; ///< unresolved operands
-        std::uint64_t forward_store = 0; ///< seq of forwarding store (or 0)
         bool has_forward_store = false;
         std::vector<std::uint64_t> dependents; ///< seqs woken by this op
     };
@@ -172,6 +171,12 @@ class Core
     void squashYoungerThan(std::uint64_t seq);
     void scheduleCompletion(std::uint64_t seq, std::uint64_t at_cycle);
     InflightOp *findOp(std::uint64_t seq);
+    /** @return the window op `i` places younger than the oldest. */
+    InflightOp &
+    windowAt(std::size_t i)
+    {
+        return window_[(window_head_ + i) & window_mask_];
+    }
     void wakeDependents(InflightOp &producer);
     void markReady(InflightOp &op);
     std::uint32_t executionLatency(OpClass cls) const;
@@ -187,18 +192,23 @@ class Core
     std::uint32_t speculation_limit_ = 0;
     std::uint32_t unresolved_branches_ = 0;
     Addr fetch_pc_ = 0;
-    bool fetch_pc_valid_ = false;
     std::uint64_t fetch_stall_until_ = 0;
     bool on_wrong_path_ = false;
     bool stream_primed_ = false;
     MicroOp pending_correct_op_{};
-    bool has_pending_correct_op_ = false;
 
     // Frontend pipe (decode + rename stages).
     std::deque<FrontendEntry> frontend_;
 
-    // Window (RUU) as a seq-indexed deque.
-    std::deque<InflightOp> window_;
+    // Window (RUU) as a ring of power-of-two size: an op lives in slot
+    // seq & window_mask_, and the live ops are the window_count_ slots
+    // from window_head_ on. Seqs are never reused (stale ones linger in
+    // ready_, the calendar and dependents lists), so a squash skips
+    // next_seq_ forward to the value mapping to the slot after the tail.
+    std::vector<InflightOp> window_;
+    std::uint64_t window_mask_ = 0;
+    std::uint64_t window_head_ = 0; ///< slot of the oldest live op
+    std::size_t window_count_ = 0;
     /** Rename map: arch reg -> seq of youngest in-flight producer. */
     std::array<std::uint64_t, kNumArchRegs> last_writer_{};
     std::uint64_t next_seq_ = 1;
@@ -212,6 +222,10 @@ class Core
     // Completion calendar: cycle -> seqs completing that cycle.
     static constexpr std::size_t kCalendarSlots = 256;
     std::array<std::vector<std::uint64_t>, kCalendarSlots> calendar_;
+
+    // Per-cycle scratch, kept so its capacity is reused every cycle.
+    std::vector<std::uint64_t> stash_;      ///< ready ops that did not issue
+    std::vector<std::uint64_t> completing_; ///< ops completing this cycle
 
     // Unpipelined units busy-until cycles.
     std::uint64_t int_div_busy_until_ = 0;

@@ -4,12 +4,18 @@
  * loops with known ILP characteristics.
  */
 
+#include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "cpu/core.hh"
+#include "workload/spec_profiles.hh"
+#include "workload/synthetic.hh"
 
 namespace thermctl
 {
@@ -359,6 +365,70 @@ TEST(Core, ResetStatsClearsCounters)
     core.resetStats();
     EXPECT_EQ(core.stats().cycles, 0u);
     EXPECT_EQ(core.stats().committed, 0u);
+}
+
+/**
+ * Digest of a bare core's cycle-by-cycle trajectory over three SPEC
+ * profiles at one window size: every cycle's activity counters and
+ * window/LSQ occupancy, then the final statistics. Fetch is gated on a
+ * fixed pattern (long drains plus fine-grained toggling), so squashes,
+ * gating and full-window stalls all occur.
+ */
+std::string
+windowTrajectoryDigest(std::uint32_t window_size)
+{
+    HashStream h;
+    for (const char *name : {"176.gcc", "179.art", "186.crafty"}) {
+        SyntheticWorkload wl(specProfile(name));
+        MemoryHierarchy mem;
+        CpuConfig cfg;
+        cfg.window_size = window_size;
+        cfg.lsq_size = std::max<std::uint32_t>(1, window_size / 2);
+        Core core(cfg, wl, mem);
+        std::size_t max_occupancy = 0;
+        for (std::uint64_t c = 0; c < 20000; ++c) {
+            core.setFetchEnabled(c % 1024 < 768
+                                 && !((c / 4096) % 2 == 1 && c % 7 == 0));
+            core.tick();
+            const CpuActivity &a = core.activity();
+            for (std::uint32_t v :
+                 {a.icache_accesses, a.bpred_lookups, a.bpred_updates,
+                  a.decoded_ops, a.dispatched_ops, a.issued_int,
+                  a.issued_fp, a.issued_mem, a.wakeup_broadcasts,
+                  a.regfile_reads, a.regfile_writes, a.lsq_accesses,
+                  a.l1d_accesses, a.l1i_accesses, a.l2_accesses,
+                  a.tlb_accesses, a.int_alu_ops, a.int_mult_ops,
+                  a.fp_alu_ops, a.fp_mult_ops, a.committed_ops})
+                h.u64(v);
+            h.u64(core.windowOccupancy()).u64(core.lsqOccupancy());
+            max_occupancy = std::max(max_occupancy, core.windowOccupancy());
+        }
+        const CpuStats &st = core.stats();
+        h.u64(st.cycles).u64(st.committed).u64(st.fetched);
+        h.u64(st.fetch_gated_cycles).u64(st.squashes).u64(st.wrong_path_ops);
+
+        EXPECT_GT(st.squashes, 0u) << name << " window " << window_size;
+        EXPECT_GT(st.fetch_gated_cycles, 0u);
+        EXPECT_EQ(max_occupancy, window_size)
+            << name << " never filled its window of " << window_size;
+    }
+    return hashHex(h.digest());
+}
+
+TEST(Core, WindowTrajectoryPinned)
+{
+    // Pinned from the deque-based window the ring replaced: every cycle
+    // must stay bit-for-bit. Power-of-two sizes fill the ring exactly,
+    // and 1 and 2 wrap on every op.
+    const std::pair<std::uint32_t, const char *> pinned[] = {
+        {1, "6fdfc2fbc611d546"},   {2, "a59334250b1846f8"},
+        {7, "6a8717c28bd9dda3"},   {64, "6a9cd6ad34637bfb"},
+        {80, "594f1ae8b9096546"},  {128, "53549d29eb5fc034"},
+        {200, "f3a3e25a38d32e66"},
+    };
+    for (const auto &[window_size, digest] : pinned)
+        EXPECT_EQ(windowTrajectoryDigest(window_size), digest)
+            << "window_size " << window_size;
 }
 
 } // namespace
