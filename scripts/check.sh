@@ -4,20 +4,19 @@
 #   format         clang-format check (skipped when absent)
 #   plain          build + ctest with -Werror and the physics-invariant
 #                  instrumentation compiled in (THERMCTL_INVARIANTS=ON)
-#   lint           thermctl_lint project-rule linter over src/, tests/,
-#                  bench/, tools/, and examples/ with the committed allowlist
-#                  (.thermctl-lint-allow); --ci makes stale allowlist
-#                  entries fail the stage
-#   analyze        thermctl_analyze whole-project static analysis:
+#   analyze        thermctl_analyze over src/, tools/, tests/, bench/ and
+#                  examples/: the per-file project rules (raw-double
+#                  APIs, naked mutexes, unchecked decodes, fault probes
+#                  outside src/, raw number parsing, ...) plus
 #                  include-graph layering (.thermctl-layers) + cycle
 #                  detection, unchecked must-check returns, static
 #                  lock-order auditing, CFG+taint alloc-bound checking
 #                  (deserialized counts must pass a dominating bound
 #                  before reserve/resize/new[]), and struct-field
 #                  coverage of digest/encode/decode bodies, with the
-#                  committed baseline (.thermctl-analyze-allow); one
-#                  invocation over the whole tree so cross-file edges
-#                  are visible
+#                  committed baseline (.thermctl-analyze-allow); --ci
+#                  makes stale entries fail the stage; one invocation
+#                  over the whole tree so cross-file edges are visible
 #   perf-smoke     every benchmark workload (perf/run.sh --smoke) at 1/20
 #                  size in its pinned build-perf/ tree; any failed op,
 #                  a golden-digest mismatch included, fails the stage —
@@ -55,11 +54,13 @@
 #                  respawn under a seeded supervisor)
 #   tsan           TSan build + parallel smokes under -fsanitize=thread:
 #                  test_sweep and test_multicore (the parallelFor pool and
-#                  the windowed multicore engine), the sweep engine's
-#                  worker pool and warm-cache read path with
-#                  THERMCTL_FAST=1, and a 16-core budget-capped
+#                  the windowed multicore engine), the sweep engine on
+#                  that pool and its warm-cache read path with
+#                  THERMCTL_FAST=1, a 16-core budget-capped
 #                  percore-PID thermctl_run whose output must be
-#                  byte-identical to the plain build's
+#                  byte-identical to the plain build's, and a 4-core
+#                  two-point sweep at --jobs 2 (points on pool helpers
+#                  calling parallelFor again) that must match --jobs 1
 #   fuzz-replay    corpus replay through the fuzz harnesses as plain
 #                  ctests; with clang++ present additionally a short
 #                  coverage-guided smoke (libFuzzer, -max_total_time=30
@@ -69,7 +70,7 @@
 # Run everything (default) or one stage:
 #
 #   scripts/check.sh
-#   scripts/check.sh --stage lint
+#   scripts/check.sh --stage analyze
 #   scripts/check.sh --stage thread-safety
 #
 # Each stage uses its own build tree under build-check/ so the matrix
@@ -82,7 +83,7 @@ cd "${repo_root}"
 jobs="$(nproc 2>/dev/null || echo 4)"
 base="build-check"
 
-all_stages="format plain lint analyze perf-smoke thread-safety asan serve multicore loadgen-smoke chaos-smoke cluster-smoke tsan fuzz-replay tidy"
+all_stages="format plain analyze perf-smoke thread-safety asan serve multicore loadgen-smoke chaos-smoke cluster-smoke tsan fuzz-replay tidy"
 selected="all"
 while [ $# -gt 0 ]; do
     case "$1" in
@@ -124,24 +125,15 @@ if want plain; then
     ctest --test-dir "${base}/plain" --output-on-failure -j "${jobs}"
 fi
 
-if want lint; then
-    stage "project-rule lint (thermctl_lint over the source tree)"
-    cmake -B "${base}/plain" -S . \
-        -DTHERMCTL_WERROR=ON -DTHERMCTL_INVARIANTS=ON >/dev/null
-    cmake --build "${base}/plain" -j "${jobs}" --target thermctl_lint
-    # tests/, bench/, tools/ and examples/ are included so
-    # fault-point-scope and raw-number-parse see code outside src/.
-    "${base}/plain/tools/thermctl_lint" --ci \
-        --allowlist .thermctl-lint-allow src/ tests/ bench/ tools/ examples/
-fi
-
 if want analyze; then
     stage "whole-project analysis (thermctl_analyze over the source tree)"
     cmake -B "${base}/plain" -S . \
         -DTHERMCTL_WERROR=ON -DTHERMCTL_INVARIANTS=ON >/dev/null
     cmake --build "${base}/plain" -j "${jobs}" --target thermctl_analyze
     # One invocation over the whole tree: the include-graph passes only
-    # see edges between files of the same run. The committed fixture
+    # see edges between files of the same run, and tests/, bench/,
+    # tools/ and examples/ are included so fault-point-scope and
+    # raw-number-parse see code outside src/. The committed fixture
     # trees under tests/analyze/fixtures/ contain planted violations
     # (that is their job), so they are excluded here and covered by
     # test_analyze instead.
@@ -457,7 +449,7 @@ if want cluster-smoke; then
 fi
 
 if want tsan; then
-    stage "TSan parallel smokes (sweep pool, multicore parallelFor)"
+    stage "TSan parallel smokes (sweeps and multicore on the parallelFor pool)"
     cmake -B "${base}/tsan" -S . "-DTHERMCTL_SANITIZE=thread"
     cmake --build "${base}/tsan" -j "${jobs}" \
         --target test_sweep test_multicore thermctl_run \
@@ -466,7 +458,7 @@ if want tsan; then
         -R '^(test_sweep|test_multicore)$'
     tsan_cache="$(mktemp -d)"
     trap 'rm -rf "${tsan_cache}"' EXIT
-    # Cold run exercises the worker pool + cache writes; the second
+    # Cold run exercises the sweep on the pool + cache writes; the second
     # binary shares the characterization grid, so it exercises
     # warm-cache reads.
     THERMCTL_FAST=1 THERMCTL_JOBS=8 THERMCTL_QUIET=1 \
@@ -491,6 +483,19 @@ if want tsan; then
     "${base}/plain/tools/thermctl_run" ${chip_flags} \
         >"${tsan_cache}/chip.plain"
     cmp "${tsan_cache}/chip.tsan" "${tsan_cache}/chip.plain"
+
+    # Sweep points run on the same pool, so at --jobs 2 a point on a
+    # pool helper calls parallelFor again for its cores' windows: still
+    # race-free, and byte-identical to the same sweep at --jobs 1.
+    sweep_flags="--bench 176.gcc,186.crafty --cores 4 \
+        --warmup 2000 --cycles 20000 --no-cache"
+    # shellcheck disable=SC2086
+    "${base}/tsan/tools/thermctl_run" ${sweep_flags} --jobs 2 \
+        >"${tsan_cache}/sweep.jobs2"
+    # shellcheck disable=SC2086
+    "${base}/tsan/tools/thermctl_run" ${sweep_flags} --jobs 1 \
+        >"${tsan_cache}/sweep.jobs1"
+    cmp "${tsan_cache}/sweep.jobs2" "${tsan_cache}/sweep.jobs1"
     rm -rf "${tsan_cache}"
     trap - EXIT
 fi

@@ -7,7 +7,7 @@
  * the Clang Thread Safety Analysis annotations from
  * common/thread_annotations.hh, so the compiler can prove guarded-field
  * access and lock contracts instead of trusting "// guarded by mutex_"
- * comments. Project rule (enforced by tools/thermctl_lint): all
+ * comments. Project rule (enforced by tools/thermctl_analyze): all
  * thermctl code synchronizes through these types; naked std::mutex /
  * std::lock_guard / std::condition_variable are confined to this
  * header.

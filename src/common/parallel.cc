@@ -21,15 +21,17 @@ using IndexFn = std::function<void(std::size_t)>;
 class Job
 {
   public:
-    Job(std::size_t n, const IndexFn &fn) : fn_(fn), n_(n) {}
+    Job(std::size_t n, const IndexFn &fn, std::size_t width)
+        : fn_(fn), n_(n),
+          max_helpers_(
+              n > 1 ? std::min(n, std::max<std::size_t>(width, 1)) - 1 : 0)
+    {
+    }
     Job(const Job &) = delete;
     Job &operator=(const Job &) = delete;
 
-    bool
-    hasWork() const
-    {
-        return next_.load(std::memory_order_relaxed) < n_;
-    }
+    /** Helpers that may work on this job at once, the caller aside. */
+    std::size_t maxHelpers() const { return max_helpers_; }
 
     /** Claim and run indices until none are left. */
     void
@@ -51,12 +53,19 @@ class Job
         }
     }
 
-    /** A helper starts working on this job. */
-    void
-    enter() THERMCTL_EXCLUDES(mutex_)
+    /**
+     * A helper starts working on this job, unless no index is left to
+     * claim or the job already has maxHelpers() helpers.
+     */
+    bool
+    tryEnter() THERMCTL_EXCLUDES(mutex_)
     {
         MutexLock lock(mutex_);
+        if (next_.load(std::memory_order_relaxed) >= n_
+            || helpers_ == max_helpers_)
+            return false;
         ++helpers_;
+        return true;
     }
 
     /** A helper is done with this job and will not touch it again. */
@@ -89,10 +98,11 @@ class Job
   private:
     const IndexFn &fn_;
     const std::size_t n_;
+    const std::size_t max_helpers_;
     std::atomic<std::size_t> next_{0};
     Mutex mutex_;
     CondVar done_;
-    unsigned helpers_ THERMCTL_GUARDED_BY(mutex_) = 0;
+    std::size_t helpers_ THERMCTL_GUARDED_BY(mutex_) = 0;
     std::exception_ptr error_ THERMCTL_GUARDED_BY(mutex_);
 };
 
@@ -116,9 +126,10 @@ class Pool
 
     /** Publish `job`, work on it from the caller, then withdraw it. */
     void
-    run(Job &job, std::size_t n) THERMCTL_EXCLUDES(mutex_)
+    run(Job &job) THERMCTL_EXCLUDES(mutex_)
     {
-        const std::size_t wanted = std::min(n - 1, threads_.size());
+        const std::size_t wanted =
+            std::min(job.maxHelpers(), threads_.size());
         if (wanted > 0) {
             MutexLock lock(mutex_);
             jobs_.push_back(&job);
@@ -133,12 +144,12 @@ class Pool
     }
 
   private:
-    /** The oldest published job with unclaimed indices, if any. */
+    /** Enter the oldest published job that takes a helper, if any. */
     Job *
-    findWork() THERMCTL_REQUIRES(mutex_)
+    enterWork() THERMCTL_REQUIRES(mutex_)
     {
         for (Job *job : jobs_) {
-            if (job->hasWork())
+            if (job->tryEnter())
                 return job;
         }
         return nullptr;
@@ -149,14 +160,13 @@ class Pool
     {
         MutexLock lock(mutex_);
         for (;;) {
-            Job *job = findWork();
+            // Entered under mutex_: the caller withdraws the job under
+            // mutex_ before join(), so it waits for this helper.
+            Job *job = enterWork();
             if (!job) {
                 wake_.wait(mutex_);
                 continue;
             }
-            // Entered under mutex_: the caller withdraws the job under
-            // mutex_ before join(), so it waits for this helper.
-            job->enter();
             lock.unlock();
             job->work();
             job->leave();
@@ -185,11 +195,11 @@ pool()
 } // namespace
 
 void
-parallelFor(std::size_t n, const IndexFn &fn)
+parallelFor(std::size_t n, const IndexFn &fn, std::size_t width)
 {
-    Job job(n, fn);
-    if (n > 1)
-        pool().run(job, n);
+    Job job(n, fn, width);
+    if (job.maxHelpers() > 0)
+        pool().run(job);
     else
         job.work();
     job.join();

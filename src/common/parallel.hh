@@ -9,15 +9,16 @@
  *
  * The calling thread claims indices alongside the helpers, so a call
  * always finishes even when every helper is busy elsewhere: concurrent
- * callers (sweep jobs, serve dispatchers) share the helpers, and a
- * nested call from inside fn cannot deadlock. With no helpers (one CPU)
- * or a single index, every index runs on the caller.
+ * callers (sweep points, serve dispatchers) share the helpers, and a
+ * nested call from inside fn cannot deadlock. With no helpers (one CPU),
+ * a single index or a width of 1, every index runs on the caller.
  */
 
 #ifndef THERMCTL_COMMON_PARALLEL_HH
 #define THERMCTL_COMMON_PARALLEL_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 
 namespace thermctl
@@ -31,8 +32,13 @@ namespace thermctl
  * is visible to the caller on return. The first exception thrown by
  * any fn(i) is rethrown here after every started index has returned;
  * indices not yet started when it was thrown are skipped.
+ *
+ * At most `width` threads, the caller included, run fn at once for
+ * this call (a width of 0 counts as 1); helpers beyond it stay free for
+ * other callers.
  */
-void parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn);
+void parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
+                 std::size_t width = SIZE_MAX);
 
 } // namespace thermctl
 

@@ -9,7 +9,7 @@
  * other compiler (or without the analysis) they expand to nothing, so
  * annotated code stays portable.
  *
- * Usage contract for thermctl code (enforced by tools/thermctl_lint):
+ * Usage contract for thermctl code (enforced by tools/thermctl_analyze):
  *  - never use std::mutex directly; use thermctl::Mutex / MutexLock /
  *    CondVar from common/mutex.hh, which carry these annotations;
  *  - annotate every mutex-protected field THERMCTL_GUARDED_BY(mutex_);

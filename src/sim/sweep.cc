@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -14,6 +13,7 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/mutex.hh"
+#include "common/parallel.hh"
 #include "common/serialize.hh"
 #include "fault/fault.hh"
 
@@ -601,76 +601,42 @@ SweepEngine::run(const SweepSpec &spec) const
         }
     }
 
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
-    Mutex mutex; // serializes telemetry + error capture
-    std::exception_ptr error;
-
-    auto work = [&]() {
-        for (;;) {
-            if (failed.load(std::memory_order_relaxed))
-                return;
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
+    Mutex mutex; // serializes telemetry
+    parallelFor(
+        n,
+        [&](std::size_t i) {
             SweepPoint &pt = points[i];
             if (telemetry_.on_run_start) {
                 MutexLock lock(mutex);
                 telemetry_.on_run_start(pt, n);
             }
-            try {
-                const auto p0 = Clock::now();
-                SweepOutcome &oc = out.outcomes_[i];
-                const std::uint64_t digest =
-                    sweepConfigDigest(pt.config, proto);
-                std::filesystem::path entry;
-                bool hit = false;
-                if (caching) {
-                    entry = cache_root / (hashHex(digest) + ".run");
-                    hit = loadCacheEntry(entry, digest, oc.result,
-                                         /*heal=*/true);
-                }
-                if (!hit) {
-                    ExperimentRunner runner(proto);
-                    oc.result = runner.runOne(pt.config.workload,
-                                              pt.config.policy,
-                                              pt.config);
-                    if (caching)
-                        storeCacheEntry(entry, digest, oc.result);
-                }
-                oc.cache_hit = hit;
-                oc.wall_seconds =
-                    std::chrono::duration<double>(Clock::now() - p0)
-                        .count();
-                oc.point = std::move(pt);
-                if (telemetry_.on_run_done) {
-                    MutexLock lock(mutex);
-                    telemetry_.on_run_done(oc, n);
-                }
-            } catch (...) {
-                MutexLock lock(mutex);
-                if (!error)
-                    error = std::current_exception();
-                failed.store(true, std::memory_order_relaxed);
+            const auto p0 = Clock::now();
+            SweepOutcome &oc = out.outcomes_[i];
+            const std::uint64_t digest = sweepConfigDigest(pt.config, proto);
+            std::filesystem::path entry;
+            bool hit = false;
+            if (caching) {
+                entry = cache_root / (hashHex(digest) + ".run");
+                hit = loadCacheEntry(entry, digest, oc.result,
+                                     /*heal=*/true);
             }
-        }
-    };
-
-    const unsigned jobs = effectiveJobs(n);
-    if (jobs <= 1) {
-        work();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (unsigned j = 0; j < jobs; ++j)
-            pool.emplace_back(work);
-        for (auto &t : pool)
-            t.join();
-    }
-
-    if (error)
-        std::rethrow_exception(error);
+            if (!hit) {
+                ExperimentRunner runner(proto);
+                oc.result = runner.runOne(pt.config.workload,
+                                          pt.config.policy, pt.config);
+                if (caching)
+                    storeCacheEntry(entry, digest, oc.result);
+            }
+            oc.cache_hit = hit;
+            oc.wall_seconds =
+                std::chrono::duration<double>(Clock::now() - p0).count();
+            oc.point = std::move(pt);
+            if (telemetry_.on_run_done) {
+                MutexLock lock(mutex);
+                telemetry_.on_run_done(oc, n);
+            }
+        },
+        effectiveJobs(n));
 
     for (const auto &oc : out.outcomes_)
         out.cache_hits_ += oc.cache_hit ? 1 : 0;

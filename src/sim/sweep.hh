@@ -7,10 +7,10 @@
  * DTM policies x ablation variants — and every table/figure binary used
  * to walk its slice of that grid serially, re-simulating the shared
  * no-DTM characterization runs each time. SweepSpec describes a grid
- * declaratively; SweepEngine executes it on a fixed-size thread pool
- * and memoizes each point on disk keyed by a digest of the fully
- * resolved configuration, so results are reused across binaries and
- * across invocations.
+ * declaratively; SweepEngine executes it on the parallelFor pool
+ * (common/parallel.hh) and memoizes each point on disk keyed by a
+ * digest of the fully resolved configuration, so results are reused
+ * across binaries and across invocations.
  *
  * Guarantees:
  *  - Deterministic results: the result vector is ordered by grid
@@ -177,7 +177,10 @@ class SweepResults
 /** Execution knobs of the engine. */
 struct SweepOptions
 {
-    /** Worker threads; 0 = defaultJobs() (THERMCTL_JOBS or all cores). */
+    /**
+     * Most points run at once (the width of the parallelFor call);
+     * 0 = defaultJobs() (THERMCTL_JOBS or all cores).
+     */
     unsigned jobs = 0;
 
     /** Enable the content-addressed on-disk result cache. */
@@ -189,7 +192,7 @@ struct SweepOptions
 
 /**
  * Progress callbacks, invoked serialized (never concurrently) from the
- * worker pool. on_run_start fires when a point begins resolving
+ * threads running the points. on_run_start fires when a point begins resolving
  * (cache probe included); on_run_done fires with the outcome, its wall
  * time, and whether the cache served it.
  */
@@ -202,7 +205,7 @@ struct SweepTelemetry
 };
 
 /**
- * Executes SweepSpecs on a fixed-size thread pool with optional
+ * Executes SweepSpecs on the parallelFor pool with optional
  * content-addressed result caching.
  */
 class SweepEngine
@@ -217,7 +220,7 @@ class SweepEngine
 
     const SweepOptions &options() const { return opts_; }
 
-    /** @return worker count used for a grid of the given size. */
+    /** @return how many points of a grid this size run at once. */
     unsigned effectiveJobs(std::size_t grid_size) const;
 
     /** @return THERMCTL_JOBS when set (>=1), else hardware_concurrency. */

@@ -4,7 +4,7 @@
  * symbol index, discard detection), each cross-file pass against the
  * committed fixture trees under tests/analyze/fixtures/, and the CLI
  * exit-code contract (findings, allowlist suppression, --ci stale-entry
- * hard failure — for thermctl_analyze and thermctl_lint both).
+ * hard failure, per-file project rules run as passes).
  *
  * The fixture trees are real files on disk (not embedded snippets) so
  * the PR-5 ignored-writeFrame regression stays reproducible byte for
@@ -31,7 +31,6 @@
 #include "lint/lint.hh"
 
 using namespace thermctl::analysis;
-using thermctl::lint::Allowlist;
 using thermctl::lint::Finding;
 
 namespace fs = std::filesystem;
@@ -683,17 +682,14 @@ TEST(AnalyzeProject, CleanTreeHasNoFindings)
 TEST(AnalyzeProject, RuleIdsAreStable)
 {
     const std::vector<std::string> ids = analysisRuleIds();
-    ASSERT_EQ(ids.size(), 6u);
-    EXPECT_NE(std::find(ids.begin(), ids.end(), "alloc-bound"),
-              ids.end());
-    EXPECT_NE(std::find(ids.begin(), ids.end(), "field-coverage"),
-              ids.end());
-    EXPECT_NE(std::find(ids.begin(), ids.end(), "layering"), ids.end());
-    EXPECT_NE(std::find(ids.begin(), ids.end(), "include-cycle"),
-              ids.end());
-    EXPECT_NE(std::find(ids.begin(), ids.end(), "unchecked-return"),
-              ids.end());
-    EXPECT_NE(std::find(ids.begin(), ids.end(), "lock-order"), ids.end());
+    ASSERT_EQ(ids.size(), 13u);
+    for (const char *id :
+         {"raw-double-param", "using-namespace-header", "reader-bounds",
+          "naked-mutex", "missing-thread-annotations", "fault-point-scope",
+          "raw-number-parse", "layering", "include-cycle",
+          "unchecked-return", "lock-order", "alloc-bound",
+          "field-coverage"})
+        EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end()) << id;
 }
 
 TEST(AnalyzeAllowlist, ParsesAgainstAnalysisRuleIds)
@@ -701,12 +697,11 @@ TEST(AnalyzeAllowlist, ParsesAgainstAnalysisRuleIds)
     Allowlist allow;
     std::string error;
     EXPECT_TRUE(allow.parse("lock-order src/sim/sweep.cc justified\n",
-                            analysisRuleIds(), error))
+                            error))
         << error;
-    // Lint-only ids are invalid here, and vice versa.
-    EXPECT_FALSE(
-        allow.parse("naked-mutex src/x.cc nope\n", analysisRuleIds(),
-                    error));
+    // The per-file project rules share the one vocabulary.
+    EXPECT_TRUE(allow.parse("naked-mutex src/x.cc justified\n", error))
+        << error;
 }
 
 // ------------------------------------------------------------------- CLI
@@ -820,23 +815,38 @@ TEST(AnalyzeCli, AllowFieldSuppressesNamedFields)
               2);
 }
 
-TEST(LintCli, CiMakesStaleAllowlistEntriesFatal)
+TEST(AnalyzeCli, ProjectRuleFindingsExitOneUnlessAllowlisted)
 {
-    const std::string bin = THERMCTL_LINT_BIN;
-    const std::string clean =
-        fixtureRoot() + std::string("/unchecked/good/server_loop.cc");
-
     TempDir tmp;
-    writeText(tmp.path / "allow",
-              "naked-mutex src/never/matches.cc long gone\n");
+    writeText(tmp.path / "layers", "");
+    writeText(tmp.path / "probe.cc",
+              "#include <cstdlib>\n"
+              "int port(const char *s) { return std::atoi(s); }\n");
+    const std::string bin = std::string(THERMCTL_ANALYZE_BIN)
+                            + " --layers "
+                            + (tmp.path / "layers").string();
+    const std::string probe = (tmp.path / "probe.cc").string();
 
-    // Stale entries alone: exit 0 without --ci, exit 1 with it.
-    EXPECT_EQ(runCommand(bin + " --allowlist "
-                         + (tmp.path / "allow").string() + " " + clean
+    // raw-number-parse is a per-file rule; it now runs as a pass.
+    EXPECT_EQ(runCommand(bin + " " + probe + " >/dev/null 2>&1"), 1);
+    EXPECT_EQ(runCommand(bin + " --pass raw-number-parse " + probe
+                         + " >/dev/null 2>&1"),
+              1);
+    EXPECT_EQ(runCommand(bin + " --pass naked-mutex " + probe
                          + " >/dev/null 2>&1"),
               0);
+
+    // An entry for the rule and the file suppresses the finding...
+    writeText(tmp.path / "allow",
+              "raw-number-parse probe.cc planted for this test\n");
     EXPECT_EQ(runCommand(bin + " --ci --allowlist "
-                         + (tmp.path / "allow").string() + " " + clean
+                         + (tmp.path / "allow").string() + " " + probe
+                         + " >/dev/null 2>&1"),
+              0);
+    // ...but a suffix that starts mid-component matches nothing.
+    writeText(tmp.path / "partial", "raw-number-parse robe.cc nope\n");
+    EXPECT_EQ(runCommand(bin + " --allowlist "
+                         + (tmp.path / "partial").string() + " " + probe
                          + " >/dev/null 2>&1"),
               1);
 }

@@ -1,9 +1,9 @@
 /**
  * @file
- * thermctl-lint unit tests: the tokenizer (comment/string stripping,
- * "::" collapsing, line tracking), the include scanner, each project
- * rule against embedded good and bad snippets, and the allowlist path
- * (parsing, suppression, stale-entry reporting).
+ * Per-file project rule tests: the tokenizer (comment/string
+ * stripping, "::" collapsing, line tracking), the include scanner, each
+ * project rule against embedded good and bad snippets, and the
+ * allowlist path (parsing, suppression, stale-entry reporting).
  */
 
 #include <gtest/gtest.h>
@@ -12,9 +12,11 @@
 #include <string>
 #include <vector>
 
+#include "analyze/analysis.hh"
 #include "lint/lint.hh"
 
 using namespace thermctl::lint;
+using thermctl::analysis::Allowlist;
 
 namespace
 {
@@ -24,7 +26,7 @@ std::vector<std::string>
 rulesFor(const std::string &path, std::string_view src)
 {
     std::vector<std::string> rules;
-    for (const Finding &f : lintFile(path, src))
+    for (const Finding &f : lintFile(path, tokenize(src), scanIncludes(src)))
         rules.push_back(f.rule);
     return rules;
 }
@@ -379,6 +381,22 @@ TEST(LintAllowlist, SuppressesBySuffixAndReportsStale)
     EXPECT_NE(stale[0].find("never.cc"), std::string::npos);
 }
 
+TEST(LintAllowlist, SuffixMatchesWholePathComponents)
+{
+    Allowlist allow;
+    std::string error;
+    ASSERT_TRUE(allow.parse("fault-point-scope tests/test_fault.cc why\n",
+                            error));
+    auto allows = [&](const char *file) {
+        return allow.allows({file, 1, "fault-point-scope", "m"});
+    };
+    EXPECT_TRUE(allows("tests/test_fault.cc"));
+    EXPECT_TRUE(allows("repo/tests/test_fault.cc"));
+    // A suffix that starts mid-component names a different file.
+    EXPECT_FALSE(allows("mytests/test_fault.cc"));
+    EXPECT_FALSE(allows("repo/mytests/test_fault.cc"));
+}
+
 // ----------------------------------------------------------------- output
 
 TEST(LintOutput, TextAndJsonFormats)
@@ -391,17 +409,4 @@ TEST(LintOutput, TextAndJsonFormats)
     EXPECT_NE(json.find("\"line\": 7"), std::string::npos);
     EXPECT_NE(json.find("\\\"quotes\\\""), std::string::npos);
     EXPECT_EQ(formatJson({}), "[]\n");
-}
-
-TEST(LintOutput, RuleIdsAreStable)
-{
-    const auto &ids = ruleIds();
-    EXPECT_EQ(ids.size(), 7u);
-    EXPECT_TRUE(hasRule(ids, "raw-double-param"));
-    EXPECT_TRUE(hasRule(ids, "using-namespace-header"));
-    EXPECT_TRUE(hasRule(ids, "reader-bounds"));
-    EXPECT_TRUE(hasRule(ids, "naked-mutex"));
-    EXPECT_TRUE(hasRule(ids, "missing-thread-annotations"));
-    EXPECT_TRUE(hasRule(ids, "fault-point-scope"));
-    EXPECT_TRUE(hasRule(ids, "raw-number-parse"));
 }

@@ -23,7 +23,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <string>
 #include <thread>
@@ -679,6 +681,42 @@ TEST(ParallelFor, ConcurrentAndNestedCallsComplete)
     }
     for (auto &t : callers)
         t.join();
+    for (const auto &r : runs)
+        EXPECT_EQ(r.load(), 1);
+}
+
+TEST(ParallelFor, WidthCapsTheCallsInFlight)
+{
+    // Each call lingers so that idle helpers have time to join; the
+    // high-water mark of calls in flight must still stay within width.
+    for (std::size_t width : {1u, 2u, 3u}) {
+        std::atomic<int> in_flight{0}, peak{0};
+        parallelFor(
+            24,
+            [&](std::size_t) {
+                const int now = in_flight.fetch_add(1) + 1;
+                int seen = peak.load();
+                while (now > seen && !peak.compare_exchange_weak(seen, now))
+                    ;
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                in_flight.fetch_sub(1);
+            },
+            width);
+        EXPECT_LE(peak.load(), static_cast<int>(width)) << "width " << width;
+    }
+
+    // A capped call nested inside a capped call finishes.
+    constexpr std::size_t kOuter = 6, kInner = 6;
+    std::vector<std::atomic<int>> runs(kOuter * kInner);
+    parallelFor(
+        kOuter,
+        [&](std::size_t o) {
+            parallelFor(
+                kInner,
+                [&](std::size_t i) { runs[o * kInner + i].fetch_add(1); },
+                2);
+        },
+        2);
     for (const auto &r : runs)
         EXPECT_EQ(r.load(), 1);
 }

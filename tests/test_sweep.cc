@@ -298,6 +298,58 @@ TEST(SweepEngine, ParallelResultsBitIdenticalToSerial)
     }
 }
 
+TEST(SweepEngine, PointFailureRethrowsAndTheEngineStaysUsable)
+{
+    WorkloadProfile broken = specProfile("164.gzip");
+    broken.name = "broken";
+    broken.num_blocks = 0; // rejected when its point builds the workload
+
+    // `bad` is `clean` plus one point that throws.
+    SweepSpec clean, bad;
+    clean.protocol(shortProtocol());
+    bad.protocol(shortProtocol());
+    for (const char *name : {"186.crafty", "301.apsi", "164.gzip"}) {
+        clean.workload(specProfile(name));
+        bad.workload(specProfile(name));
+        if (std::string(name) == "186.crafty")
+            bad.workload(broken);
+    }
+
+    SweepOptions serial;
+    serial.jobs = 1;
+    const auto expected = resultBytes(SweepEngine(serial).run(clean));
+
+    for (unsigned jobs : {1u, 4u}) {
+        SweepOptions opts;
+        opts.jobs = jobs;
+        const SweepEngine engine(opts);
+        EXPECT_THROW(engine.run(bad), FatalError) << "jobs=" << jobs;
+        EXPECT_EQ(resultBytes(engine.run(clean)), expected)
+            << "jobs=" << jobs;
+    }
+}
+
+TEST(SweepEngine, JobsCapsThePointsInFlight)
+{
+    SweepOptions opts;
+    opts.jobs = 2;
+    SweepEngine engine(opts);
+    // The callbacks never run concurrently, so plain counters suffice.
+    int in_flight = 0, peak = 0, done = 0;
+    SweepTelemetry telemetry;
+    telemetry.on_run_start = [&](const SweepPoint &, std::size_t) {
+        peak = std::max(peak, ++in_flight);
+    };
+    telemetry.on_run_done = [&](const SweepOutcome &, std::size_t) {
+        --in_flight;
+        ++done;
+    };
+    engine.setTelemetry(telemetry);
+    engine.run(smallGrid());
+    EXPECT_EQ(done, 9);
+    EXPECT_LE(peak, 2);
+}
+
 TEST(SweepEngine, WarmCacheServesBitIdenticalResults)
 {
     TempDir cache;

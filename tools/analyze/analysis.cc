@@ -23,6 +23,17 @@ startsWith(std::string_view s, std::string_view prefix)
            && s.compare(0, prefix.size(), prefix) == 0;
 }
 
+/** True when `path` is `suffix` or ends with "/" + `suffix`. */
+bool
+endsWithComponents(std::string_view path, std::string_view suffix)
+{
+    if (path.size() < suffix.size()
+        || path.substr(path.size() - suffix.size()) != suffix)
+        return false;
+    return path.size() == suffix.size()
+           || path[path.size() - suffix.size() - 1] == '/';
+}
+
 /** Collapse "./" and "a/../" segments; keep the path '/'-separated. */
 std::string
 normalizePath(std::string_view path)
@@ -656,6 +667,13 @@ const std::vector<std::string> &
 analysisRuleIds()
 {
     static const std::vector<std::string> ids = {
+        "raw-double-param",
+        "using-namespace-header",
+        "reader-bounds",
+        "naked-mutex",
+        "missing-thread-annotations",
+        "fault-point-scope",
+        "raw-number-parse",
         "layering",
         "include-cycle",
         "unchecked-return",
@@ -664,6 +682,65 @@ analysisRuleIds()
         "field-coverage",
     };
     return ids;
+}
+
+bool
+Allowlist::parse(std::string_view text, std::string &error)
+{
+    const std::vector<std::string> &valid_ids = analysisRuleIds();
+    entries_.clear();
+    int line = 0;
+    std::size_t pos = 0;
+    while (pos <= text.size()) {
+        ++line;
+        std::size_t eol = text.find('\n', pos);
+        std::string ln(text.substr(pos, eol == std::string_view::npos
+                                            ? text.size() - pos
+                                            : eol - pos));
+        pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
+
+        std::istringstream fields(ln);
+        std::string rule, suffix;
+        fields >> rule;
+        if (rule.empty() || rule[0] == '#')
+            continue;
+        if (std::find(valid_ids.begin(), valid_ids.end(), rule)
+            == valid_ids.end()) {
+            error = "allowlist line " + std::to_string(line)
+                    + ": unknown rule id '" + rule + "'";
+            return false;
+        }
+        fields >> suffix;
+        if (suffix.empty()) {
+            error = "allowlist line " + std::to_string(line) + ": rule '"
+                    + rule + "' is missing a path suffix";
+            return false;
+        }
+        entries_.push_back({rule, suffix, false});
+    }
+    return true;
+}
+
+bool
+Allowlist::allows(const Finding &f) const
+{
+    for (const Entry &e : entries_) {
+        if (e.rule == f.rule && endsWithComponents(f.file, e.path_suffix)) {
+            e.used = true;
+            return true;
+        }
+    }
+    return false;
+}
+
+std::vector<std::string>
+Allowlist::unusedEntries() const
+{
+    std::vector<std::string> out;
+    for (const Entry &e : entries_)
+        if (!e.used)
+            out.push_back(e.rule + " " + e.path_suffix);
+    return out;
 }
 
 std::vector<Finding>
@@ -884,6 +961,13 @@ analyzeProject(const ProjectModel &model, const LayerSpec &spec,
         for (Finding &f : more)
             findings.push_back(std::move(f));
     };
+    for (const SourceFile &file : model.files()) {
+        for (Finding &f :
+             lint::lintFile(file.path, file.tokens, file.includes)) {
+            if (opts.wants(f.rule))
+                findings.push_back(std::move(f));
+        }
+    }
     if (opts.wants("layering"))
         take(checkLayering(model, spec));
     if (opts.wants("include-cycle"))

@@ -3,9 +3,10 @@
  * thermctl-deepcheck: whole-project static analysis over the thermctl
  * source tree.
  *
- * Where tools/lint (thermctl_lint) checks each file in isolation, this
- * library builds a *project model* across every file of one invocation
- * and runs cross-file passes over it:
+ * This library builds a *project model* across every file of one
+ * invocation and runs two kinds of pass over it: the per-file project
+ * rules of tools/lint (lint.hh lists them), each seeing one file's
+ * tokens, and the cross-file passes:
  *
  *   layering / include-cycle   the committed `.thermctl-layers` file
  *                              declares the dependency DAG between
@@ -35,7 +36,7 @@
  *                              callers). Cycles in the graph are
  *                              reported as potential deadlocks.
  *
- * The model is deliberately token-level (built on the thermctl_lint
+ * The model is deliberately token-level (built on the tools/lint
  * tokenizer, not libclang): include resolution, a lightweight symbol
  * index (function definitions, [[nodiscard]] declarations, call
  * sites), and lock-acquisition edges are all derivable from the token
@@ -43,11 +44,11 @@
  * over the whole tree on every scripts/check.sh invocation (stage
  * "analyze").
  *
- * Findings reuse lint::Finding and the `.thermctl-lint-allow` baseline
- * mechanism (`rule path-suffix justification` entries, stale entries
- * flagged); the committed analyzer baseline lives in
- * `.thermctl-analyze-allow`. DESIGN.md §13 documents the model, the
- * passes, and the `.thermctl-layers` format.
+ * Every pass reports lint::Finding; grandfathered exceptions live in
+ * one Allowlist (`rule path-suffix justification` entries, stale
+ * entries flagged), committed as `.thermctl-analyze-allow`. DESIGN.md
+ * §13 documents the model, the passes, and the `.thermctl-layers`
+ * format.
  */
 
 #ifndef THERMCTL_TOOLS_ANALYZE_ANALYSIS_HH
@@ -231,8 +232,44 @@ struct MustCheckSet
     static MustCheckSet defaults();
 };
 
-/** Stable rule ids of the analysis passes (allowlist validation). */
+/**
+ * Stable rule ids of every pass, the per-file project rules included
+ * (allowlist validation, `--pass`, `--list-rules`).
+ */
 const std::vector<std::string> &analysisRuleIds();
+
+/** Grandfathered exceptions: `rule path-suffix justification...`. */
+class Allowlist
+{
+  public:
+    /**
+     * Parse the allowlist text. Lines are `rule path-suffix
+     * [justification...]`; blank lines and `#` comments are ignored.
+     * @return false and set `error` on a malformed line (missing
+     * path-suffix, rule id not in analysisRuleIds()).
+     */
+    bool parse(std::string_view text, std::string &error);
+
+    /**
+     * @return true when `f` matches an entry: same rule, and the path
+     * equals the suffix or ends with "/" + suffix.
+     */
+    bool allows(const lint::Finding &f) const;
+
+    /** Entries never matched by any finding (likely stale). */
+    std::vector<std::string> unusedEntries() const;
+
+    std::size_t size() const { return entries_.size(); }
+
+  private:
+    struct Entry
+    {
+        std::string rule;
+        std::string path_suffix;
+        mutable bool used = false;
+    };
+    std::vector<Entry> entries_;
+};
 
 /**
  * Layering pass: every resolved include edge must point sideways or
@@ -256,10 +293,10 @@ checkUncheckedReturns(const ProjectModel &model, const MustCheckSet &must);
 std::vector<lint::Finding> checkLockOrder(const ProjectModel &model);
 
 /**
- * Pass selection and per-pass options for analyzeProject. The two
- * dataflow passes (alloc-bound, field-coverage) live in dataflow.hh;
- * they are declared there and dispatched here so the CLI sees one
- * entry point.
+ * Pass selection and per-pass options for analyzeProject. The per-file
+ * rules live in lint.hh and the two dataflow passes (alloc-bound,
+ * field-coverage) in dataflow.hh; they are declared there and
+ * dispatched here so the CLI sees one entry point.
  */
 struct AnalyzeOptions
 {
@@ -281,7 +318,10 @@ struct AnalyzeOptions
     bool wants(std::string_view id) const;
 };
 
-/** All passes in order; layering skipped when `spec` is empty. */
+/**
+ * All passes, per-file rules first; layering skipped when `spec` is
+ * empty. Findings are ordered by file, then line.
+ */
 std::vector<lint::Finding> analyzeProject(const ProjectModel &model,
                                           const LayerSpec &spec,
                                           const MustCheckSet &must);

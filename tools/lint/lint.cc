@@ -4,7 +4,6 @@
 #include <array>
 #include <cctype>
 #include <cstdio>
-#include <sstream>
 
 namespace thermctl::lint
 {
@@ -232,86 +231,6 @@ scanIncludes(std::string_view src)
                             open == '<', line});
     }
     return includes;
-}
-
-// -------------------------------------------------------------- allowlist
-
-const std::vector<std::string> &
-ruleIds()
-{
-    static const std::vector<std::string> ids = {
-        "raw-double-param",  "using-namespace-header",
-        "reader-bounds",     "naked-mutex",
-        "missing-thread-annotations", "fault-point-scope",
-        "raw-number-parse",
-    };
-    return ids;
-}
-
-bool
-Allowlist::parse(std::string_view text, std::string &error)
-{
-    return parse(text, ruleIds(), error);
-}
-
-bool
-Allowlist::parse(std::string_view text,
-                 const std::vector<std::string> &valid_ids,
-                 std::string &error)
-{
-    entries_.clear();
-    int line = 0;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        ++line;
-        std::size_t eol = text.find('\n', pos);
-        std::string ln(text.substr(pos, eol == std::string_view::npos
-                                            ? text.size() - pos
-                                            : eol - pos));
-        pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-
-        std::istringstream fields(ln);
-        std::string rule, suffix;
-        fields >> rule;
-        if (rule.empty() || rule[0] == '#')
-            continue;
-        if (std::find(valid_ids.begin(), valid_ids.end(), rule)
-            == valid_ids.end()) {
-            error = "allowlist line " + std::to_string(line)
-                    + ": unknown rule id '" + rule + "'";
-            return false;
-        }
-        fields >> suffix;
-        if (suffix.empty()) {
-            error = "allowlist line " + std::to_string(line) + ": rule '"
-                    + rule + "' is missing a path suffix";
-            return false;
-        }
-        entries_.push_back({rule, suffix, false});
-    }
-    return true;
-}
-
-bool
-Allowlist::allows(const Finding &f) const
-{
-    for (const Entry &e : entries_) {
-        if (e.rule == f.rule && endsWith(f.file, e.path_suffix)) {
-            e.used = true;
-            return true;
-        }
-    }
-    return false;
-}
-
-std::vector<std::string>
-Allowlist::unusedEntries() const
-{
-    std::vector<std::string> out;
-    for (const Entry &e : entries_)
-        if (!e.used)
-            out.push_back(e.rule + " " + e.path_suffix);
-    return out;
 }
 
 // ------------------------------------------------------------------ rules
@@ -583,11 +502,10 @@ checkRawNumberParse(const std::string &path, const std::vector<Token> &toks,
 } // namespace
 
 std::vector<Finding>
-lintFile(const std::string &path, std::string_view content)
+lintFile(const std::string &path, const std::vector<Token> &toks,
+         const std::vector<Include> &includes)
 {
     std::vector<Finding> findings;
-    const std::vector<Token> toks = tokenize(content);
-    const std::vector<Include> includes = scanIncludes(content);
     const bool header = isHeaderPath(path);
     const bool in_src = contains(path, "src/");
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * thermctl-lint core: a lightweight C++ tokenizer and the project rules
- * it enforces over the thermctl source tree.
+ * A lightweight C++ tokenizer and the per-file project rules that
+ * thermctl_analyze (tools/analyze) runs over every file it models.
  *
- * The linter checks the contracts the codebase *claims* to follow but
+ * The rules check the contracts the codebase *claims* to follow but
  * that no compiler enforces:
  *
  *   raw-double-param            public thermal/power/control/dtm headers
@@ -34,11 +34,8 @@
  * Deliberately libclang-free: a token scan with comment/string
  * stripping is robust enough for these rules, keeps the tool a
  * dependency-free part of the ordinary build, and runs in milliseconds
- * over the whole tree (scripts/check.sh stage "lint").
- *
- * Grandfathered exceptions live in an allowlist file (one
- * `rule path-suffix justification` entry per line); see
- * Allowlist::parse. DESIGN.md §11 documents the workflow.
+ * over the whole tree (scripts/check.sh stage "analyze"). DESIGN.md
+ * §11 documents the rules.
  */
 
 #ifndef THERMCTL_TOOLS_LINT_LINT_HH
@@ -90,61 +87,21 @@ std::vector<Include> scanIncludes(std::string_view src);
 /** One rule violation. */
 struct Finding
 {
-    std::string file; ///< path as given to the linter
+    std::string file; ///< path as given to the analyzer
     int line = 1;
     std::string rule;    ///< stable rule id, e.g. "naked-mutex"
     std::string message; ///< pointed, single-line diagnostic
 };
 
-/** Grandfathered exceptions: `rule path-suffix justification...`. */
-class Allowlist
-{
-  public:
-    /**
-     * Parse the allowlist text. Lines are `rule path-suffix
-     * [justification...]`; blank lines and `#` comments are ignored.
-     * @return false and set `error` on a malformed line (missing
-     * path-suffix, unknown rule id).
-     */
-    bool parse(std::string_view text, std::string &error);
-
-    /**
-     * parse() validating rule ids against `valid_ids` instead of the
-     * linter's own ruleIds() — the analyzer (tools/analyze) reuses this
-     * baseline mechanism with its own rule vocabulary.
-     */
-    bool parse(std::string_view text,
-               const std::vector<std::string> &valid_ids,
-               std::string &error);
-
-    /** @return true when `f` matches a grandfathered entry. */
-    bool allows(const Finding &f) const;
-
-    /** Entries never matched by any finding (likely stale). */
-    std::vector<std::string> unusedEntries() const;
-
-    std::size_t size() const { return entries_.size(); }
-
-  private:
-    struct Entry
-    {
-        std::string rule;
-        std::string path_suffix;
-        mutable bool used = false;
-    };
-    std::vector<Entry> entries_;
-};
-
-/** @return every known rule id (for allowlist validation / --list). */
-const std::vector<std::string> &ruleIds();
-
 /**
- * Lint one file's contents. `path` selects which rules apply (header
- * vs. implementation, directory under src/); use the repo-relative
- * path so allowlist suffixes are stable.
+ * Check one file, given its tokenize() and scanIncludes() output.
+ * `path` selects which rules apply (header vs. implementation,
+ * directory under src/); use the repo-relative path so allowlist
+ * suffixes are stable.
  */
 std::vector<Finding> lintFile(const std::string &path,
-                              std::string_view content);
+                              const std::vector<Token> &toks,
+                              const std::vector<Include> &includes);
 
 /** Render findings as `file:line: [rule] message` lines. */
 std::string formatText(const std::vector<Finding> &findings);

@@ -1,7 +1,8 @@
 /**
  * @file
- * thermctl-deepcheck CLI: whole-project static analysis over the
- * thermctl source tree (see tools/analyze/analysis.hh).
+ * thermctl-deepcheck CLI: the per-file project rules and the
+ * whole-project static analysis over the thermctl source tree (see
+ * tools/analyze/analysis.hh).
  *
  * Usage:
  *   thermctl_analyze [--layers FILE] [--allowlist FILE]
@@ -10,10 +11,10 @@
  *                    [--allow-field Struct::field]... [--json] [--ci]
  *                    [--list-rules] PATH...
  *
- * Unlike thermctl_lint, one invocation builds a single project model
- * over *all* the files it is given — include-graph passes only see
- * edges between files of the same invocation, so run it over the whole
- * tree (scripts/check.sh --stage analyze does:
+ * One invocation builds a single project model over *all* the files
+ * it is given — include-graph passes only see edges between files of
+ * the same invocation, so run it over the whole tree (scripts/check.sh
+ * --stage analyze does:
  * `thermctl_analyze --ci --json src/ tools/ tests/ bench/ examples/
  * --exclude tests/analyze/fixtures`).
  *
@@ -43,7 +44,6 @@
 
 namespace fs = std::filesystem;
 using namespace thermctl::analysis; // tool main, not a header
-using thermctl::lint::Allowlist;
 using thermctl::lint::Finding;
 
 namespace
@@ -77,7 +77,8 @@ usage(std::ostream &os)
           "                        [--exclude SUBSTR]... [--pass RULE]...\n"
           "                        [--allow-field Struct::field]...\n"
           "                        [--json] [--ci] [--list-rules] PATH...\n"
-          "Whole-project static analysis: include-graph layering + "
+          "Per-file project rules (raw-double-param, naked-mutex, ...)"
+          " plus\nwhole-project static analysis: include-graph layering + "
           "cycles,\nunchecked must-check/[[nodiscard]] returns, static "
           "lock-order\nauditing, tainted-allocation bounds "
           "(alloc-bound), and struct\nfield-coverage of "
@@ -202,7 +203,7 @@ main(int argc, char **argv)
             return 2;
         }
         std::string error;
-        if (!allow.parse(text, analysisRuleIds(), error)) {
+        if (!allow.parse(text, error)) {
             std::cerr << "thermctl_analyze: " << error << "\n";
             return 2;
         }
