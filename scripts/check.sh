@@ -29,8 +29,10 @@
 #                  replay under the sanitizers)
 #   serve          serve smoke: the thermctl_serve daemon (ASan+UBSan
 #                  build) under concurrent clients — a duplicate pair
-#                  must coalesce, client output must be bit-identical to
-#                  a direct thermctl_run, and SIGTERM must drain cleanly
+#                  must coalesce, client output (one point and a served
+#                  two-by-two sweep) must be bit-identical to a direct
+#                  thermctl_run of the same grid, and SIGTERM must drain
+#                  cleanly
 #   multicore      multicore smoke (ASan+UBSan build): a 4-core
 #                  budget-capped percore-PID run under the sanitizers,
 #                  plus a serve round-trip of the same multicore config
@@ -47,8 +49,8 @@
 #   cluster-smoke  distributed sweep smoke (ASan+UBSan build): a
 #                  coordinator shards a grid across three worker
 #                  daemons, one is SIGKILLed mid-sweep, and the merged
-#                  output must be bit-identical to looped direct
-#                  thermctl_run executions with zero missing points;
+#                  output must be bit-identical to one direct
+#                  thermctl_run of the same grid with zero missing points;
 #                  survivors must drain cleanly on SIGTERM; then a
 #                  fresh-seed chaos_soak --cluster run (kill + stall +
 #                  respawn under a seeded supervisor)
@@ -225,6 +227,15 @@ if want serve; then
         --warmup 2000 --cycles 50000 --no-cache >"${smoke_dir}/direct.out"
     cmp "${smoke_dir}/dup1.out" "${smoke_dir}/direct.out"
 
+    # The SweepRequest path: a served two-by-two grid must print exactly
+    # what thermctl_run prints for the same grid.
+    smoke_client --bench 186.crafty,179.art --policy none,PI \
+        >"${smoke_dir}/sweep.out"
+    "${base}/asan/tools/thermctl_run" --bench 186.crafty,179.art \
+        --policy none,PI --warmup 2000 --cycles 50000 --no-cache \
+        >"${smoke_dir}/sweep_direct.out"
+    cmp "${smoke_dir}/sweep.out" "${smoke_dir}/sweep_direct.out"
+
     kill -TERM "${serve_pid}"
     if ! wait "${serve_pid}"; then
         echo "serve smoke: daemon did not drain cleanly on SIGTERM" >&2
@@ -385,20 +396,11 @@ if want cluster-smoke; then
         [ -S "${cl_dir}/w${i}.sock" ] || { cat "${cl_dir}/w${i}.log"; exit 1; }
     done
 
-    # Reference: looped direct single-point runs in grid order
-    # (benchmarks outer, policies inner), blocks joined by blank lines —
-    # exactly the layout thermctl_coord prints.
-    : > "${cl_dir}/direct.out"
-    cl_first=1
-    for b in 186.crafty 179.art; do
-        for p in none PI PID; do
-            [ "${cl_first}" = 1 ] || printf '\n' >>"${cl_dir}/direct.out"
-            cl_first=0
-            "${base}/asan/tools/thermctl_run" --bench "$b" --policy "$p" \
-                --warmup 2000 --cycles 50000 --no-cache \
-                >>"${cl_dir}/direct.out"
-        done
-    done
+    # Reference: the same grid run directly, in grid order (benchmarks
+    # outer, policies inner) — exactly the layout thermctl_coord prints.
+    "${base}/asan/tools/thermctl_run" --bench 186.crafty,179.art \
+        --policy none,PI,PID --warmup 2000 --cycles 50000 --no-cache \
+        >"${cl_dir}/direct.out"
 
     # Shard the same grid across the three workers and SIGKILL one
     # mid-sweep: the coordinator must reassign its points and still

@@ -65,30 +65,6 @@ CoordinatorReport::missingKeys() const
     return missing;
 }
 
-std::vector<PointSpec>
-Coordinator::gridPoints(const SweepRequest &grid)
-{
-    std::vector<PointSpec> points;
-    points.reserve(grid.benchmarks.size() * grid.policies.size());
-    for (const auto &bench : grid.benchmarks) {
-        for (const auto &policy : grid.policies) {
-            PointSpec p;
-            p.benchmark = bench;
-            p.policy = policy;
-            p.warmup_cycles = grid.warmup_cycles;
-            p.measure_cycles = grid.measure_cycles;
-            p.ct_setpoint = grid.ct_setpoint;
-            p.sample_interval = grid.sample_interval;
-            p.num_cores = grid.num_cores;
-            p.coupling_r = grid.coupling_r;
-            p.chip_budget = grid.chip_budget;
-            p.budget_policy = grid.budget_policy;
-            points.push_back(std::move(p));
-        }
-    }
-    return points;
-}
-
 Coordinator::Coordinator(CoordinatorOptions opts) : opts_(std::move(opts))
 {
 }

@@ -162,17 +162,10 @@ class Coordinator
      * point either completed (exactly-once-in-effect) or carries a
      * typed failure in its outcome. Throws FatalError only for
      * correctness violations (duplicate completions that differ
-     * byte-for-byte); worker failures never throw.
+     * byte-for-byte); worker failures never throw. A benchmarks x
+     * policies grid comes from SweepRequest::points().
      */
     [[nodiscard]] CoordinatorReport run(const std::vector<PointSpec> &grid);
-
-    /**
-     * Expand a SweepRequest-shaped grid (benchmarks x policies under
-     * shared knobs) into dispatchable points, in the same grid order
-     * the server's sweep path uses.
-     */
-    [[nodiscard]] static std::vector<PointSpec>
-    gridPoints(const SweepRequest &grid);
 
   private:
     CoordinatorOptions opts_;

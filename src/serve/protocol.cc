@@ -25,11 +25,10 @@ finish(const ByteReader &r)
     return r.atEnd();
 }
 
+/** The knob tail of a PointSpec: every field but benchmark and policy. */
 void
-encodePoint(ByteWriter &w, const PointSpec &p)
+encodeKnobs(ByteWriter &w, const PointSpec &p)
 {
-    w.str(p.benchmark);
-    w.str(p.policy);
     w.u64(p.warmup_cycles);
     w.u64(p.measure_cycles);
     w.f64(p.ct_setpoint);
@@ -40,31 +39,36 @@ encodePoint(ByteWriter &w, const PointSpec &p)
     w.u8(p.budget_policy);
 }
 
+void
+encodePoint(ByteWriter &w, const PointSpec &p)
+{
+    w.str(p.benchmark);
+    w.str(p.policy);
+    encodeKnobs(w, p);
+}
+
 /**
- * Validate the multicore knobs shared by PointSpec and SweepRequest.
+ * Validate the multicore knobs of a decoded PointSpec.
  * Rejecting here (before any config is built) keeps a hostile
  * num_cores from ever sizing an allocation and turns out-of-range
  * values into a typed BadRequest instead of a server-side fatal.
  */
 bool
-multicoreKnobsValid(std::uint32_t num_cores, double coupling_r,
-                    double chip_budget, std::uint8_t budget_policy)
+multicoreKnobsValid(const PointSpec &p)
 {
-    if (num_cores > kMaxCores)
+    if (p.num_cores > kMaxCores)
         return false;
-    if (!std::isfinite(coupling_r) || coupling_r < 0.0)
+    if (!std::isfinite(p.coupling_r) || p.coupling_r < 0.0)
         return false;
-    if (!std::isfinite(chip_budget) || chip_budget < 0.0)
+    if (!std::isfinite(p.chip_budget) || p.chip_budget < 0.0)
         return false;
-    return budget_policy
+    return p.budget_policy
            <= static_cast<std::uint8_t>(BudgetPolicy::ThermalHeadroom);
 }
 
 bool
-decodePoint(ByteReader &r, PointSpec &p)
+decodeKnobs(ByteReader &r, PointSpec &p)
 {
-    p.benchmark = r.str();
-    p.policy = r.str();
     p.warmup_cycles = r.u64();
     p.measure_cycles = r.u64();
     p.ct_setpoint = r.f64();
@@ -73,9 +77,15 @@ decodePoint(ByteReader &r, PointSpec &p)
     p.coupling_r = r.f64();
     p.chip_budget = r.f64();
     p.budget_policy = r.u8();
-    return r.ok()
-           && multicoreKnobsValid(p.num_cores, p.coupling_r, p.chip_budget,
-                                  p.budget_policy);
+    return r.ok() && multicoreKnobsValid(p);
+}
+
+bool
+decodePoint(ByteReader &r, PointSpec &p)
+{
+    p.benchmark = r.str();
+    p.policy = r.str();
+    return decodeKnobs(r, p);
 }
 
 void
@@ -309,20 +319,29 @@ RunRequest::decode(std::string_view payload, RunRequest &out)
     return finish(r);
 }
 
+std::vector<PointSpec>
+SweepRequest::points() const
+{
+    std::vector<PointSpec> cells;
+    cells.reserve(benchmarks.size() * policies.size());
+    for (const auto &bench : benchmarks) {
+        for (const auto &policy : policies) {
+            PointSpec cell = point;
+            cell.benchmark = bench;
+            cell.policy = policy;
+            cells.push_back(std::move(cell));
+        }
+    }
+    return cells;
+}
+
 std::string
 SweepRequest::encode() const
 {
     ByteWriter w;
     encodeStrings(w, benchmarks);
     encodeStrings(w, policies);
-    w.u64(warmup_cycles);
-    w.u64(measure_cycles);
-    w.f64(ct_setpoint);
-    w.u64(sample_interval);
-    w.u32(num_cores);
-    w.f64(coupling_r);
-    w.f64(chip_budget);
-    w.u8(budget_policy);
+    encodeKnobs(w, point);
     w.u64(deadline_ms);
     return w.take();
 }
@@ -332,20 +351,8 @@ SweepRequest::decode(std::string_view payload, SweepRequest &out)
 {
     ByteReader r(payload);
     if (!decodeStrings(r, out.benchmarks)
-        || !decodeStrings(r, out.policies)) {
-        return false;
-    }
-    out.warmup_cycles = r.u64();
-    out.measure_cycles = r.u64();
-    out.ct_setpoint = r.f64();
-    out.sample_interval = r.u64();
-    out.num_cores = r.u32();
-    out.coupling_r = r.f64();
-    out.chip_budget = r.f64();
-    out.budget_policy = r.u8();
-    if (!r.ok()
-        || !multicoreKnobsValid(out.num_cores, out.coupling_r,
-                                out.chip_budget, out.budget_policy)) {
+        || !decodeStrings(r, out.policies)
+        || !decodeKnobs(r, out.point)) {
         return false;
     }
     out.deadline_ms = r.u64();

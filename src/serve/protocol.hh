@@ -189,21 +189,20 @@ struct RunRequest
                                      RunRequest &out);
 };
 
-/** Cartesian benchmarks x policies grid under shared knobs. */
+/**
+ * Cartesian benchmarks x policies grid under shared knobs. Like
+ * RunRequest it carries one PointSpec; each cell takes its knobs and
+ * overwrites its benchmark and policy (the wire carries only the knobs).
+ */
 struct SweepRequest
 {
     std::vector<std::string> benchmarks;
     std::vector<std::string> policies;
-    std::uint64_t warmup_cycles = 300000;
-    std::uint64_t measure_cycles = 1000000;
-    double ct_setpoint = 0.0;
-    std::uint64_t sample_interval = 0;
-    // Multicore knobs shared by every point (wire v3, zero = default).
-    std::uint32_t num_cores = 0;
-    double coupling_r = 0.0;
-    double chip_budget = 0.0;
-    std::uint8_t budget_policy = 0;
+    PointSpec point;
     std::uint64_t deadline_ms = 0;
+
+    /** @return the grid's cells: benchmarks outer, policies inner. */
+    [[nodiscard]] std::vector<PointSpec> points() const;
 
     [[nodiscard]] std::string encode() const;
     [[nodiscard]] static bool decode(std::string_view payload,

@@ -799,33 +799,19 @@ Server::executeFrame(const Work &work)
             Scheduler::Ticket ticket;
             std::string error;
         };
+        const std::vector<PointSpec> cells = req.points();
         std::vector<Slot> slots;
-        slots.reserve(req.benchmarks.size() * req.policies.size());
-        for (const auto &bench : req.benchmarks) {
-            for (const auto &policy : req.policies) {
-                PointSpec spec;
-                spec.benchmark = bench;
-                spec.policy = policy;
-                spec.warmup_cycles = req.warmup_cycles;
-                spec.measure_cycles = req.measure_cycles;
-                spec.ct_setpoint = req.ct_setpoint;
-                spec.sample_interval = req.sample_interval;
-                spec.num_cores = req.num_cores;
-                spec.coupling_r = req.coupling_r;
-                spec.chip_budget = req.chip_budget;
-                spec.budget_policy = req.budget_policy;
-                Slot slot;
-                try {
-                    const ResolvedPoint pt =
-                        resolvePoint(spec, opts_.base);
-                    slot.ticket =
-                        sched_->submit(pt, req.deadline_ms);
-                    slot.resolved = true;
-                } catch (const FatalError &e) {
-                    slot.error = e.what();
-                }
-                slots.push_back(std::move(slot));
+        slots.reserve(cells.size());
+        for (const PointSpec &spec : cells) {
+            Slot slot;
+            try {
+                const ResolvedPoint pt = resolvePoint(spec, opts_.base);
+                slot.ticket = sched_->submit(pt, req.deadline_ms);
+                slot.resolved = true;
+            } catch (const FatalError &e) {
+                slot.error = e.what();
             }
+            slots.push_back(std::move(slot));
         }
         SweepReply reply;
         reply.points.reserve(slots.size());

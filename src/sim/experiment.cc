@@ -63,11 +63,17 @@ ExperimentRunner::runOne(const WorkloadProfile &profile,
     Simulator sim(cfg);
     sim.warmUp(protocol_.warmup_cycles);
     sim.run(protocol_.measure_cycles);
+    return collectRunResult(sim);
+}
 
+RunResult
+collectRunResult(const Simulator &sim)
+{
+    const SimConfig &cfg = sim.config();
     RunResult result;
-    result.benchmark = profile.name;
-    result.policy = dtmPolicyKindName(policy.kind);
-    result.category = profile.category;
+    result.benchmark = cfg.workload.name;
+    result.policy = dtmPolicyKindName(cfg.policy.kind);
+    result.category = cfg.workload.category;
     // Wall-time-normalized performance: equals IPC except under
     // frequency scaling, which must be charged for its slower clock.
     result.ipc = sim.measuredPerformance();

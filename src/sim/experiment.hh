@@ -84,6 +84,13 @@ bool multicoreBackendRegistered();
  */
 bool needsMulticoreEngine(const SimConfig &cfg);
 
+/**
+ * The metrics of a finished single-core run, named after its config's
+ * workload and policy. runOne and the direct probe path of thermctl_run
+ * both assemble their RunResult here.
+ */
+RunResult collectRunResult(const Simulator &sim);
+
 /** Executes runs under a fixed protocol. */
 class ExperimentRunner
 {

@@ -381,20 +381,12 @@ runSupervisor(const std::vector<std::string> &sockets,
 std::map<std::string, std::string>
 clusterExpected(const SweepRequest &grid)
 {
-    RunProtocol proto;
-    proto.warmup_cycles = grid.warmup_cycles;
-    proto.measure_cycles = grid.measure_cycles;
-    const ExperimentRunner runner(proto);
     std::map<std::string, std::string> expected;
-    for (const auto &bench : grid.benchmarks) {
-        for (const auto &policy : grid.policies) {
-            SimConfig cfg;
-            if (!parseDtmPolicyKind(policy, cfg.policy.kind))
-                fatal("chaos_soak: unknown policy ", policy);
-            const RunResult result =
-                runner.runOne(specProfile(bench), cfg.policy, cfg);
-            expected[bench + "/" + policy] = serializeRunResult(result);
-        }
+    for (const PointSpec &cell : grid.points()) {
+        const ResolvedPoint pt = resolvePoint(cell, SimConfig{});
+        const RunResult result = ExperimentRunner(pt.proto).runOne(
+            pt.config.workload, pt.config.policy, pt.config);
+        expected[pt.key] = serializeRunResult(result);
     }
     return expected;
 }
@@ -471,8 +463,8 @@ runCluster(const SoakFlags &flags)
     grid.benchmarks = {"186.crafty", "179.art", "164.gzip", "301.apsi"};
     grid.policies = {"none", "toggle1", "toggle2", "P",
                      "PI",   "PID",     "throttle", "vf-scaling"};
-    grid.warmup_cycles = kWarmup;
-    grid.measure_cycles = kMeasure;
+    grid.point.warmup_cycles = kWarmup;
+    grid.point.measure_cycles = kMeasure;
 
     std::printf("chaos_soak: precomputing %zu fault-free points...\n",
                 grid.benchmarks.size() * grid.policies.size());
@@ -492,7 +484,7 @@ runCluster(const SoakFlags &flags)
     (void)::write(cmd_pipe[1], "S", 1);
     Coordinator coord(copts);
     const CoordinatorReport report =
-        coord.run(Coordinator::gridPoints(grid));
+        coord.run(grid.points());
     (void)::write(cmd_pipe[1], "Q", 1);
 
     unsigned char unclean = 0xff;

@@ -97,9 +97,9 @@ genProtocol(const fs::path &dir)
     SweepRequest sweep_req;
     sweep_req.benchmarks = {"186.crafty", "183.equake"};
     sweep_req.policies = {"none", "PI"};
-    sweep_req.ct_setpoint = 81.8;
-    sweep_req.num_cores = 2;
-    sweep_req.chip_budget = 45.0;
+    sweep_req.point.ct_setpoint = 81.8;
+    sweep_req.point.num_cores = 2;
+    sweep_req.point.chip_budget = 45.0;
 
     CacheQueryRequest cache_req;
 
@@ -207,8 +207,8 @@ genProtocol(const fs::path &dir)
     }
     {
         SweepRequest hostile = sweep_req;
-        hostile.num_cores = 0xffffffffu;
-        hostile.budget_policy = 0xff;
+        hostile.point.num_cores = 0xffffffffu;
+        hostile.point.budget_policy = 0xff;
         ok &= writeBytes(dir / "regress_sweep_request_hostile_cores",
                          sel(2, hostile.encode()));
     }

@@ -12,10 +12,15 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/flags.hh"
 #include "common/logging.hh"
+#include "grid_cli.hh"
 
 using namespace thermctl;
 
@@ -30,6 +35,28 @@ runCommand(const std::string &cmd)
     if (status == -1 || !WIFEXITED(status))
         return -1;
     return WEXITSTATUS(status);
+}
+
+std::string
+readFile(const std::filesystem::path &path)
+{
+    std::ifstream in(path);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+}
+
+/** Feed one `flag value` pair through the shared grid parser. */
+serve::SweepRequest
+parseGrid(const std::string &flag, const std::string &value)
+{
+    serve::SweepRequest grid = cli::defaultGrid();
+    bool consumed = false;
+    EXPECT_TRUE(cli::parseGridFlag(
+        flag, [&] { consumed = true; return value; }, grid))
+        << flag;
+    EXPECT_TRUE(consumed) << flag;
+    return grid;
 }
 
 } // namespace
@@ -128,4 +155,83 @@ TEST(CliExitCodes, ExamplesPrintUsageInsteadOfAborting)
                   2)
             << bin;
     }
+}
+
+TEST(CliExitCodes, ZeroCouplingExitsTwo)
+{
+    // thermctl_run used to read --coupling 0 as "decoupled cores" while
+    // the served path read it as the server default.
+    EXPECT_EQ(runCommand(std::string(THERMCTL_RUN_BIN)
+                         + " --cores 2 --coupling 0 --warmup 0"
+                           " --cycles 1000 --no-cache >/dev/null 2>&1"),
+              2);
+}
+
+TEST(GridFlags, AcceptExactlyTheValuesTheWireCarries)
+{
+    struct Case
+    {
+        const char *flag;
+        const char *value;
+        bool accepted;
+    };
+    const Case cases[] = {
+        {"--cores", "1", true},         {"--cores", "64", true},
+        {"--cores", "0", false},        {"--cores", "65", false},
+        {"--sample", "1", true},        {"--sample", "0", false},
+        {"--setpoint", "111.4", true},  {"--setpoint", "-5", true},
+        {"--setpoint", "0", false},     {"--setpoint", "-0", false},
+        {"--coupling", "4", true},      {"--coupling", "0.25", true},
+        {"--coupling", "0", false},     {"--coupling", "-1", false},
+        {"--budget", "0", true},        {"--budget", "70", true},
+        {"--budget", "-1", false},      {"--budget-policy", "demand", true},
+        {"--budget-policy", "greedy", false},
+        {"--bench", "gcc,179.art", true}, {"--bench", ",", false},
+        {"--policy", "none,PI", true},  {"--policy", ",,", false},
+        {"--warmup", "0", true},        {"--cycles", "-1", false},
+    };
+    for (const Case &c : cases) {
+        if (c.accepted)
+            EXPECT_NO_THROW((void)parseGrid(c.flag, c.value))
+                << c.flag << " " << c.value;
+        else
+            EXPECT_THROW((void)parseGrid(c.flag, c.value), FatalError)
+                << c.flag << " " << c.value;
+    }
+
+    // Accepted values land in the one PointSpec every cell copies.
+    EXPECT_EQ(parseGrid("--cores", "4").point.num_cores, 4u);
+    EXPECT_EQ(parseGrid("--coupling", "4").point.coupling_r, 4.0);
+    EXPECT_EQ(parseGrid("--budget-policy", "demand").point.budget_policy,
+              1u);
+    EXPECT_EQ(parseGrid("--bench", "gcc,179.art").benchmarks,
+              (std::vector<std::string>{"gcc", "179.art"}));
+
+    // Tool-specific flags are left to the tool.
+    serve::SweepRequest grid = cli::defaultGrid();
+    EXPECT_FALSE(cli::parseGridFlag(
+        "--jobs", [] { return std::string("2"); }, grid));
+}
+
+TEST(CliOutput, TraceTempsProbeMatchesTheSweepPath)
+{
+    // The --trace-temps probe path and the sweep engine assemble their
+    // RunResult in one place, so their stdout is identical.
+    char tmpl[] = "/tmp/thermctl_cli_XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    const std::filesystem::path dir = tmpl;
+    const std::string flags = " --bench 186.crafty --policy PI"
+                              " --warmup 2000 --cycles 30000";
+    ASSERT_EQ(runCommand(std::string(THERMCTL_RUN_BIN) + flags
+                         + " --trace-temps " + (dir / "temps.csv").string()
+                         + " >" + (dir / "probe.out").string()),
+              0);
+    ASSERT_EQ(runCommand(std::string(THERMCTL_RUN_BIN) + flags
+                         + " --no-cache >" + (dir / "sweep.out").string()),
+              0);
+    const std::string probe = readFile(dir / "probe.out");
+    EXPECT_FALSE(probe.empty());
+    EXPECT_EQ(probe, readFile(dir / "sweep.out"));
+    EXPECT_FALSE(readFile(dir / "temps.csv").empty());
+    std::filesystem::remove_all(dir);
 }

@@ -62,9 +62,9 @@ fastGrid(const std::vector<std::string> &benches,
     SweepRequest grid;
     grid.benchmarks = benches;
     grid.policies = policies;
-    grid.warmup_cycles = 1000;
-    grid.measure_cycles = 10000;
-    return Coordinator::gridPoints(grid);
+    grid.point.warmup_cycles = 1000;
+    grid.point.measure_cycles = 10000;
+    return grid.points();
 }
 
 /** Coordinator options tuned for tests: short leases, fast probes. */
@@ -131,38 +131,6 @@ TEST(CoordinatorOptions, HealthNamesArePrintable)
     EXPECT_STREQ(workerHealthName(WorkerHealth::Unhealthy), "unhealthy");
     EXPECT_STREQ(workerHealthName(WorkerHealth::Quarantined),
                  "quarantined");
-}
-
-// --------------------------------------------------------------- grid
-
-TEST(Coordinator, GridPointsExpandBenchmarksOuterPoliciesInner)
-{
-    SweepRequest grid;
-    grid.benchmarks = {"186.crafty", "179.art"};
-    grid.policies = {"none", "PI"};
-    grid.warmup_cycles = 123;
-    grid.measure_cycles = 456;
-    grid.num_cores = 2;
-    grid.chip_budget = 45.0;
-    grid.budget_policy = 1;
-
-    const auto points = Coordinator::gridPoints(grid);
-    ASSERT_EQ(points.size(), 4u);
-    EXPECT_EQ(points[0].benchmark, "186.crafty");
-    EXPECT_EQ(points[0].policy, "none");
-    EXPECT_EQ(points[1].benchmark, "186.crafty");
-    EXPECT_EQ(points[1].policy, "PI");
-    EXPECT_EQ(points[2].benchmark, "179.art");
-    EXPECT_EQ(points[2].policy, "none");
-    EXPECT_EQ(points[3].benchmark, "179.art");
-    EXPECT_EQ(points[3].policy, "PI");
-    for (const PointSpec &p : points) {
-        EXPECT_EQ(p.warmup_cycles, 123u);
-        EXPECT_EQ(p.measure_cycles, 456u);
-        EXPECT_EQ(p.num_cores, 2u);
-        EXPECT_EQ(p.chip_budget, 45.0);
-        EXPECT_EQ(p.budget_policy, 1u);
-    }
 }
 
 // ------------------------------------------------------------- report

@@ -247,15 +247,15 @@ TEST(ServeProtocol, DecodersRejectHostileMulticoreKnobs)
     SweepRequest sweep;
     sweep.benchmarks = {"186.crafty"};
     sweep.policies = {"none"};
-    sweep.num_cores = 0xffffffffu;
+    sweep.point.num_cores = 0xffffffffu;
     SweepRequest sweep_out;
     EXPECT_FALSE(SweepRequest::decode(sweep.encode(), sweep_out));
-    sweep.num_cores = 4;
-    sweep.budget_policy = 0xff;
+    sweep.point.num_cores = 4;
+    sweep.point.budget_policy = 0xff;
     EXPECT_FALSE(SweepRequest::decode(sweep.encode(), sweep_out));
-    sweep.budget_policy = 0;
+    sweep.point.budget_policy = 0;
     EXPECT_TRUE(SweepRequest::decode(sweep.encode(), sweep_out));
-    EXPECT_EQ(sweep_out.num_cores, 4u);
+    EXPECT_EQ(sweep_out.point.num_cores, 4u);
 }
 
 TEST(ServeProtocol, SweepRequestRoundTrips)
@@ -263,21 +263,55 @@ TEST(ServeProtocol, SweepRequestRoundTrips)
     SweepRequest in;
     in.benchmarks = {"186.crafty", "179.art", "164.gzip"};
     in.policies = {"none", "PID"};
-    in.warmup_cycles = 11;
-    in.measure_cycles = 22;
-    in.ct_setpoint = 109.0;
-    in.sample_interval = 500;
+    in.point.warmup_cycles = 11;
+    in.point.measure_cycles = 22;
+    in.point.ct_setpoint = 109.0;
+    in.point.sample_interval = 500;
     in.deadline_ms = 9;
 
     SweepRequest out;
     ASSERT_TRUE(SweepRequest::decode(in.encode(), out));
     EXPECT_EQ(out.benchmarks, in.benchmarks);
     EXPECT_EQ(out.policies, in.policies);
-    EXPECT_EQ(out.warmup_cycles, in.warmup_cycles);
-    EXPECT_EQ(out.measure_cycles, in.measure_cycles);
-    EXPECT_EQ(out.ct_setpoint, in.ct_setpoint);
-    EXPECT_EQ(out.sample_interval, in.sample_interval);
+    EXPECT_EQ(out.point.warmup_cycles, in.point.warmup_cycles);
+    EXPECT_EQ(out.point.measure_cycles, in.point.measure_cycles);
+    EXPECT_EQ(out.point.ct_setpoint, in.point.ct_setpoint);
+    EXPECT_EQ(out.point.sample_interval, in.point.sample_interval);
     EXPECT_EQ(out.deadline_ms, in.deadline_ms);
+}
+
+TEST(ServeProtocol, SweepRequestPointsAreBenchmarksOuterWithEveryKnob)
+{
+    SweepRequest grid;
+    grid.benchmarks = {"186.crafty", "179.art"};
+    grid.policies = {"none", "PI"};
+    grid.point.warmup_cycles = 123;
+    grid.point.measure_cycles = 456;
+    grid.point.ct_setpoint = 109.5;
+    grid.point.sample_interval = 750;
+    grid.point.num_cores = 2;
+    grid.point.coupling_r = 3.5;
+    grid.point.chip_budget = 45.0;
+    grid.point.budget_policy = 1;
+
+    const std::vector<PointSpec> points = grid.points();
+    ASSERT_EQ(points.size(), 4u);
+    const char *expect_bench[] = {"186.crafty", "186.crafty", "179.art",
+                                  "179.art"};
+    const char *expect_policy[] = {"none", "PI", "none", "PI"};
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const PointSpec &p = points[i];
+        EXPECT_EQ(p.benchmark, expect_bench[i]);
+        EXPECT_EQ(p.policy, expect_policy[i]);
+        EXPECT_EQ(p.warmup_cycles, 123u);
+        EXPECT_EQ(p.measure_cycles, 456u);
+        EXPECT_EQ(p.ct_setpoint, 109.5);
+        EXPECT_EQ(p.sample_interval, 750u);
+        EXPECT_EQ(p.num_cores, 2u);
+        EXPECT_EQ(p.coupling_r, 3.5);
+        EXPECT_EQ(p.chip_budget, 45.0);
+        EXPECT_EQ(p.budget_policy, 1u);
+    }
 }
 
 TEST(ServeProtocol, CacheStatsDrainRequestsRoundTrip)
@@ -733,8 +767,8 @@ TEST(ServeServer, SweepBatchesAndAnswersInGridOrder)
     SweepRequest req;
     req.benchmarks = {"186.crafty", "179.art"};
     req.policies = {"none", "PI"};
-    req.warmup_cycles = 1000;
-    req.measure_cycles = 10000;
+    req.point.warmup_cycles = 1000;
+    req.point.measure_cycles = 10000;
     const SweepReply reply = c.sweep(req);
 
     ASSERT_EQ(reply.points.size(), 4u);
@@ -1151,8 +1185,8 @@ TEST(ServeServer, SlowReaderTricklingOneByteGetsAnIntactReply)
     SweepRequest req;
     req.benchmarks = {"186.crafty", "179.art"};
     req.policies = {"none", "toggle1", "toggle2", "P", "PI", "PID"};
-    req.warmup_cycles = 1000;
-    req.measure_cycles = 10000;
+    req.point.warmup_cycles = 1000;
+    req.point.measure_cycles = 10000;
     const std::string frame =
         encodeFrame(MsgType::SweepRequest, req.encode());
     ASSERT_EQ(::send(fd, frame.data(), frame.size(), 0),
@@ -1554,12 +1588,7 @@ TEST(ServeServer, SweepCarriesMulticoreKnobsToEveryPoint)
     SweepRequest sweep_req;
     sweep_req.benchmarks = {spec.benchmark};
     sweep_req.policies = {spec.policy};
-    sweep_req.warmup_cycles = spec.warmup_cycles;
-    sweep_req.measure_cycles = spec.measure_cycles;
-    sweep_req.num_cores = spec.num_cores;
-    sweep_req.coupling_r = spec.coupling_r;
-    sweep_req.chip_budget = spec.chip_budget;
-    sweep_req.budget_policy = spec.budget_policy;
+    sweep_req.point = spec;
     const SweepReply via_sweep = client.sweep(sweep_req);
     ASSERT_EQ(via_sweep.points.size(), 1u);
     ASSERT_EQ(via_sweep.points[0].error, ServeError::None)

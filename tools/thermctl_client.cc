@@ -11,11 +11,11 @@
  *     --policy NAMES     comma-separated policy names (default none)
  *     --warmup N         warm-up cycles (default 300000)
  *     --cycles N         measured cycles (default 1000000)
- *     --setpoint T       CT setpoint in C (0 = server default)
- *     --sample N         controller sampling interval (0 = default)
- *     --cores N          number of cores (0 = server default)
- *     --coupling R       inter-core coupling resistance in K/W
- *     --budget W         chip power budget in W (0 = server default)
+ *     --setpoint T       CT setpoint in C, nonzero
+ *     --sample N         controller sampling interval, >= 1
+ *     --cores N          number of cores, 1..64
+ *     --coupling R       inter-core coupling resistance in K/W, > 0
+ *     --budget W         chip power budget in W (0 = none)
  *     --budget-policy P  uniform|demand|headroom
  *     --deadline MS      per-request deadline; expired requests fail
  *                        with a typed deadline error (default: none)
@@ -33,49 +33,30 @@
  *                        client side (chaos testing; needs a
  *                        THERMCTL_FAULTS build)
  *
- * Result blocks are formatted exactly like thermctl_run so outputs can
- * be compared byte-for-byte. Server refusals (overloaded, draining,
- * deadline) exit 3; transport and usage errors exit 2.
+ * The grid flags (--bench through --budget-policy) parse exactly as in
+ * thermctl_run (tools/grid_cli.hh); a knob left unset keeps the
+ * server's default. Result blocks are formatted exactly like
+ * thermctl_run so outputs can be compared byte-for-byte. Server
+ * refusals (overloaded, draining, deadline) exit 3; transport and usage
+ * errors exit 2.
  */
 
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/flags.hh"
 #include "common/logging.hh"
-#include "common/table.hh"
 #include "fault/fault.hh"
+#include "grid_cli.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
-#include "sim/policy_factory.hh"
 
 using namespace thermctl;
 using namespace thermctl::serve;
 
 namespace
 {
-
-std::vector<std::string>
-splitList(const std::string &arg)
-{
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (start <= arg.size()) {
-        const std::size_t comma = arg.find(',', start);
-        const std::size_t end =
-            comma == std::string::npos ? arg.size() : comma;
-        if (end > start)
-            parts.push_back(arg.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    if (parts.empty())
-        fatal("empty name list '", arg, "'");
-    return parts;
-}
 
 void
 usage()
@@ -93,44 +74,6 @@ usage()
         "                       [--retries N] [--retry-base-ms N]\n"
         "                       [--retry-deadline-ms N]\n"
         "                       [--fault-plan SPEC]\n";
-}
-
-/** Identical layout to thermctl_run's printResult (bit-compare safe). */
-void
-printResult(const RunResult &r, std::uint64_t cycles)
-{
-    std::cout << "benchmark     : " << r.benchmark << "\n"
-              << "policy        : " << r.policy << "\n"
-              << "cycles        : " << cycles << "\n"
-              << "performance   : " << r.ipc << " (IPC " << r.raw_ipc
-              << ")\n"
-              << "avg power     : " << r.avg_power << " W\n"
-              << "max temp      : " << r.max_temperature << " C\n"
-              << "emergency     : "
-              << formatPercent(r.emergency_fraction, 3) << "\n"
-              << "stress        : " << formatPercent(r.stress_fraction, 1)
-              << "\n"
-              << "mean duty     : " << r.mean_duty << "\n";
-}
-
-void
-appendCsv(const std::string &csv_path, const RunResult &r,
-          std::uint64_t cycles)
-{
-    const bool fresh = [&] {
-        std::ifstream probe(csv_path);
-        return !probe.good();
-    }();
-    std::ofstream csv(csv_path, std::ios::app);
-    if (!csv)
-        fatal("cannot open ", csv_path);
-    if (fresh) {
-        csv << "benchmark,policy,cycles,performance,avg_power,"
-               "max_temp,emergency_frac,stress_frac\n";
-    }
-    csv << r.benchmark << ',' << r.policy << ',' << cycles << ','
-        << r.ipc << ',' << r.avg_power << ',' << r.max_temperature << ','
-        << r.emergency_fraction << ',' << r.stress_fraction << "\n";
 }
 
 void
@@ -166,10 +109,7 @@ int
 main(int argc, char **argv)
 {
     std::string endpoint;
-    std::vector<std::string> benches;
-    std::vector<std::string> policies;
-    PointSpec knobs;
-    std::uint64_t deadline_ms = 0;
+    SweepRequest grid = cli::defaultGrid();
     std::string csv_path;
     bool do_cache_query = false;
     bool do_stats = false;
@@ -186,40 +126,12 @@ main(int argc, char **argv)
                     fatal("missing value for ", arg);
                 return argv[++i];
             };
+            if (cli::parseGridFlag(arg, next, grid))
+                continue;
             if (arg == "--socket") {
                 endpoint = next();
-            } else if (arg == "--bench") {
-                benches = splitList(next());
-            } else if (arg == "--policy") {
-                policies = splitList(next());
-            } else if (arg == "--warmup") {
-                knobs.warmup_cycles = parseFlag<std::uint64_t>(arg, next());
-            } else if (arg == "--cycles") {
-                knobs.measure_cycles = parseFlag<std::uint64_t>(arg, next());
-            } else if (arg == "--setpoint") {
-                knobs.ct_setpoint = parseFlag<double>(arg, next());
-            } else if (arg == "--sample") {
-                knobs.sample_interval = parseFlag<std::uint64_t>(arg, next());
-            } else if (arg == "--cores") {
-                const unsigned long v = parseFlag<unsigned long>(arg, next());
-                if (v > kMaxCores)
-                    fatal("--cores must be <= ", kMaxCores);
-                knobs.num_cores = static_cast<std::uint32_t>(v);
-            } else if (arg == "--coupling") {
-                knobs.coupling_r = parseFlag<double>(arg, next());
-            } else if (arg == "--budget") {
-                knobs.chip_budget = parseFlag<double>(arg, next());
-            } else if (arg == "--budget-policy") {
-                const std::string name = next();
-                BudgetPolicy policy;
-                if (!parseBudgetPolicy(name, policy)) {
-                    fatal("unknown budget policy '", name,
-                          "' (expected uniform|demand|headroom)");
-                }
-                knobs.budget_policy =
-                    static_cast<std::uint8_t>(policy);
             } else if (arg == "--deadline") {
-                deadline_ms = parseFlag<std::uint64_t>(arg, next());
+                grid.deadline_ms = parseFlag<std::uint64_t>(arg, next());
             } else if (arg == "--csv") {
                 csv_path = next();
             } else if (arg == "--retries") {
@@ -251,20 +163,9 @@ main(int argc, char **argv)
 
         if (endpoint.empty())
             endpoint = defaultSocketPath();
-        if (benches.empty())
-            benches = {"186.crafty"};
-        if (policies.empty())
-            policies = {"none"};
-
-        if (!fault_plan_spec.empty()) {
-#if defined(THERMCTL_FAULTS_ENABLED) && THERMCTL_FAULTS_ENABLED
+        if (!fault_plan_spec.empty())
             fault::FaultInjector::instance().arm(
-                fault::FaultPlan::parse(fault_plan_spec));
-#else
-            fatal("--fault-plan needs a build with THERMCTL_FAULTS=ON "
-                  "(fault points are compiled out of this binary)");
-#endif
-        }
+                cli::parseFaultPlan(fault_plan_spec));
 
         // One client for every command (the default --retries 1 is a
         // single attempt). Control-plane calls never retry; a transport
@@ -281,14 +182,13 @@ main(int argc, char **argv)
                               : "drain requested\n");
             return 0;
         }
+        const std::vector<PointSpec> cells = grid.points();
         if (do_cache_query) {
-            if (benches.size() > 1 || policies.size() > 1)
+            if (cells.size() > 1)
                 fatal("--cache-query takes a single benchmark and "
                       "policy");
             CacheQueryRequest req;
-            req.point = knobs;
-            req.point.benchmark = benches.front();
-            req.point.policy = policies.front();
+            req.point = cells.front();
             const CacheQueryReply reply = client.cacheQuery(req);
             std::cout << (reply.cached ? "cached" : "not cached")
                       << " (digest " << std::hex << reply.digest
@@ -297,32 +197,18 @@ main(int argc, char **argv)
         }
 
         std::vector<PointReply> points;
-        if (benches.size() == 1 && policies.size() == 1) {
+        if (cells.size() == 1) {
             RunRequest req;
-            req.point = knobs;
-            req.point.benchmark = benches.front();
-            req.point.policy = policies.front();
-            req.deadline_ms = deadline_ms;
+            req.point = cells.front();
+            req.deadline_ms = grid.deadline_ms;
             points.push_back(client.run(req));
         } else {
-            SweepRequest req;
-            req.benchmarks = benches;
-            req.policies = policies;
-            req.warmup_cycles = knobs.warmup_cycles;
-            req.measure_cycles = knobs.measure_cycles;
-            req.ct_setpoint = knobs.ct_setpoint;
-            req.sample_interval = knobs.sample_interval;
-            req.num_cores = knobs.num_cores;
-            req.coupling_r = knobs.coupling_r;
-            req.chip_budget = knobs.chip_budget;
-            req.budget_policy = knobs.budget_policy;
-            req.deadline_ms = deadline_ms;
-            points = client.sweep(req).points;
+            points = client.sweep(grid).points;
         }
 
         int failures = 0;
         bool transport_failure = false;
-        bool first = true;
+        cli::ResultPrinter printer(grid.point.measure_cycles, csv_path);
         for (const auto &p : points) {
             if (p.error != ServeError::None) {
                 std::cerr << "thermctl_client: "
@@ -332,12 +218,7 @@ main(int argc, char **argv)
                 transport_failure |= p.error == ServeError::Transport;
                 continue;
             }
-            if (!first)
-                std::cout << "\n";
-            first = false;
-            printResult(p.result, knobs.measure_cycles);
-            if (!csv_path.empty())
-                appendCsv(csv_path, p.result, knobs.measure_cycles);
+            printer.print(p.result);
         }
         if (failures == 0)
             return 0;

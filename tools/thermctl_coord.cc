@@ -11,11 +11,11 @@
  *     --policy NAMES      comma-separated policy names (default none)
  *     --warmup N          warm-up cycles (default 300000)
  *     --cycles N          measured cycles (default 1000000)
- *     --setpoint T        CT setpoint in C (0 = server default)
- *     --sample N          controller sampling interval (0 = default)
- *     --cores N           number of cores (0 = server default)
- *     --coupling R        inter-core coupling resistance in K/W
- *     --budget W          chip power budget in W (0 = server default)
+ *     --setpoint T        CT setpoint in C, nonzero
+ *     --sample N          controller sampling interval, >= 1
+ *     --cores N           number of cores, 1..64
+ *     --coupling R        inter-core coupling resistance in K/W, > 0
+ *     --budget W          chip power budget in W (0 = none)
  *     --budget-policy P   uniform|demand|headroom
  *     --lease-ms N        per-point lease (request deadline + receive
  *                         timeout; default 20000)
@@ -30,10 +30,11 @@
  *     --fault-plan SPEC   arm the deterministic fault injector
  *                         (coordinator-side chaos; THERMCTL_FAULTS build)
  *
- * Result blocks are printed to stdout in grid order (benchmarks outer,
- * policies inner), formatted exactly like thermctl_run, so a merged
- * cluster run can be compared byte-for-byte against a single-process
- * reference. Partial results are never silent: every missing point is
+ * The grid flags (--bench through --budget-policy) parse exactly as in
+ * thermctl_run (tools/grid_cli.hh). Result blocks are printed to stdout
+ * in grid order (benchmarks outer, policies inner), formatted exactly
+ * like thermctl_run, so a merged cluster run can be compared
+ * byte-for-byte against the same grid run by thermctl_run. Partial results are never silent: every missing point is
  * listed on stderr as a manifest line, and the exit status says so —
  * 0 all points completed, 3 best-effort run with missing points,
  * 2 hard failure (usage, correctness violation, or --require-complete
@@ -46,37 +47,15 @@
 
 #include "common/flags.hh"
 #include "common/logging.hh"
-#include "common/table.hh"
 #include "fault/fault.hh"
+#include "grid_cli.hh"
 #include "serve/coordinator.hh"
-#include "sim/policy_factory.hh"
-#include "sim/sweep.hh"
 
 using namespace thermctl;
 using namespace thermctl::serve;
 
 namespace
 {
-
-std::vector<std::string>
-splitList(const std::string &arg)
-{
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (start <= arg.size()) {
-        const std::size_t comma = arg.find(',', start);
-        const std::size_t end =
-            comma == std::string::npos ? arg.size() : comma;
-        if (end > start)
-            parts.push_back(arg.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    if (parts.empty())
-        fatal("empty name list '", arg, "'");
-    return parts;
-}
 
 void
 usage()
@@ -94,24 +73,6 @@ usage()
         "                      [--unhealthy-after N] [--max-attempts N]\n"
         "                      [--seed N] [--require-complete]\n"
         "                      [--workers-report] [--fault-plan SPEC]\n";
-}
-
-/** Identical layout to thermctl_run's printResult (bit-compare safe). */
-void
-printResult(const RunResult &r, std::uint64_t cycles)
-{
-    std::cout << "benchmark     : " << r.benchmark << "\n"
-              << "policy        : " << r.policy << "\n"
-              << "cycles        : " << cycles << "\n"
-              << "performance   : " << r.ipc << " (IPC " << r.raw_ipc
-              << ")\n"
-              << "avg power     : " << r.avg_power << " W\n"
-              << "max temp      : " << r.max_temperature << " C\n"
-              << "emergency     : "
-              << formatPercent(r.emergency_fraction, 3) << "\n"
-              << "stress        : " << formatPercent(r.stress_fraction, 1)
-              << "\n"
-              << "mean duty     : " << r.mean_duty << "\n";
 }
 
 void
@@ -135,9 +96,7 @@ int
 main(int argc, char **argv)
 {
     CoordinatorOptions opts;
-    std::vector<std::string> benches;
-    std::vector<std::string> policies;
-    PointSpec knobs;
+    SweepRequest grid = cli::defaultGrid();
     bool require_complete = false;
     bool workers_report = false;
     std::string fault_plan_spec;
@@ -150,37 +109,10 @@ main(int argc, char **argv)
                     fatal("missing value for ", arg);
                 return argv[++i];
             };
+            if (cli::parseGridFlag(arg, next, grid))
+                continue;
             if (arg == "--connect") {
                 opts.endpoints.push_back(next());
-            } else if (arg == "--bench") {
-                benches = splitList(next());
-            } else if (arg == "--policy") {
-                policies = splitList(next());
-            } else if (arg == "--warmup") {
-                knobs.warmup_cycles = parseFlag<std::uint64_t>(arg, next());
-            } else if (arg == "--cycles") {
-                knobs.measure_cycles = parseFlag<std::uint64_t>(arg, next());
-            } else if (arg == "--setpoint") {
-                knobs.ct_setpoint = parseFlag<double>(arg, next());
-            } else if (arg == "--sample") {
-                knobs.sample_interval = parseFlag<std::uint64_t>(arg, next());
-            } else if (arg == "--cores") {
-                const unsigned long v = parseFlag<unsigned long>(arg, next());
-                if (v > kMaxCores)
-                    fatal("--cores must be <= ", kMaxCores);
-                knobs.num_cores = static_cast<std::uint32_t>(v);
-            } else if (arg == "--coupling") {
-                knobs.coupling_r = parseFlag<double>(arg, next());
-            } else if (arg == "--budget") {
-                knobs.chip_budget = parseFlag<double>(arg, next());
-            } else if (arg == "--budget-policy") {
-                const std::string name = next();
-                BudgetPolicy policy;
-                if (!parseBudgetPolicy(name, policy)) {
-                    fatal("unknown budget policy '", name,
-                          "' (expected uniform|demand|headroom)");
-                }
-                knobs.budget_policy = static_cast<std::uint8_t>(policy);
             } else if (arg == "--lease-ms") {
                 opts.lease_ms =
                     parseFlag<unsigned>(arg, next());
@@ -216,46 +148,17 @@ main(int argc, char **argv)
             }
         }
 
-        if (benches.empty())
-            benches = {"186.crafty"};
-        if (policies.empty())
-            policies = {"none"};
-
-        if (!fault_plan_spec.empty()) {
-#if defined(THERMCTL_FAULTS_ENABLED) && THERMCTL_FAULTS_ENABLED
+        if (!fault_plan_spec.empty())
             fault::FaultInjector::instance().arm(
-                fault::FaultPlan::parse(fault_plan_spec));
-#else
-            fatal("--fault-plan needs a build with THERMCTL_FAULTS=ON "
-                  "(fault points are compiled out of this binary)");
-#endif
-        }
-
-        SweepRequest grid;
-        grid.benchmarks = benches;
-        grid.policies = policies;
-        grid.warmup_cycles = knobs.warmup_cycles;
-        grid.measure_cycles = knobs.measure_cycles;
-        grid.ct_setpoint = knobs.ct_setpoint;
-        grid.sample_interval = knobs.sample_interval;
-        grid.num_cores = knobs.num_cores;
-        grid.coupling_r = knobs.coupling_r;
-        grid.chip_budget = knobs.chip_budget;
-        grid.budget_policy = knobs.budget_policy;
+                cli::parseFaultPlan(fault_plan_spec));
 
         Coordinator coordinator(opts);
-        const CoordinatorReport report =
-            coordinator.run(Coordinator::gridPoints(grid));
+        const CoordinatorReport report = coordinator.run(grid.points());
 
-        bool first = true;
-        for (const auto &o : report.outcomes) {
-            if (o.reply.error != ServeError::None)
-                continue;
-            if (!first)
-                std::cout << "\n";
-            first = false;
-            printResult(o.reply.result, knobs.measure_cycles);
-        }
+        cli::ResultPrinter printer(grid.point.measure_cycles, {});
+        for (const auto &o : report.outcomes)
+            if (o.reply.error == ServeError::None)
+                printer.print(o.reply.result);
         // The missing-point manifest: one stderr line per incomplete
         // point with its typed cause. A partial run is never silent.
         for (const auto &o : report.outcomes) {

@@ -376,12 +376,7 @@ main(int argc, char **argv)
         SweepRequest sweep_req;
         sweep_req.benchmarks = {knobs.benchmark};
         sweep_req.policies = {knobs.policy};
-        sweep_req.warmup_cycles = knobs.warmup_cycles;
-        sweep_req.measure_cycles = knobs.measure_cycles;
-        sweep_req.num_cores = knobs.num_cores;
-        sweep_req.coupling_r = knobs.coupling_r;
-        sweep_req.chip_budget = knobs.chip_budget;
-        sweep_req.budget_policy = knobs.budget_policy;
+        sweep_req.point = knobs;
         CacheQueryRequest cache_req;
         cache_req.point = knobs;
         const std::string run_frame =

@@ -52,7 +52,7 @@
 
 #include "common/flags.hh"
 #include "common/logging.hh"
-#include "fault/fault.hh"
+#include "grid_cli.hh"
 #include "serve/server.hh"
 #include "sim/sweep.hh"
 
@@ -174,16 +174,10 @@ main(int argc, char **argv)
         opts.validate(); // surface flag errors before any side effect
 
         if (!opts.fault_plan.empty()) {
-#if defined(THERMCTL_FAULTS_ENABLED) && THERMCTL_FAULTS_ENABLED
             // Server::start() arms the plan; just log what will run.
             std::cerr << "thermctl_serve: fault plan armed: "
-                      << fault::FaultPlan::parse(opts.fault_plan)
-                             .describe()
+                      << cli::parseFaultPlan(opts.fault_plan).describe()
                       << "\n";
-#else
-            fatal("--fault-plan needs a build with THERMCTL_FAULTS=ON "
-                  "(fault points are compiled out of this binary)");
-#endif
         }
 
         // Recover the cache directory from a crashed predecessor before
