@@ -105,11 +105,17 @@ Rng::geometric(double p)
 {
     if (p <= 0.0 || p > 1.0)
         panic("Rng::geometric requires p in (0, 1], got ", p);
+    return geometric(p, std::log(1.0 - p));
+}
+
+std::uint64_t
+Rng::geometric(double p, double log_q)
+{
     if (p == 1.0)
         return 0;
     // Inverse-CDF sampling; u in (0,1) to keep the log finite.
     double u = 1.0 - uniform();
-    return static_cast<std::uint64_t>(std::log(u) / std::log(1.0 - p));
+    return static_cast<std::uint64_t>(std::log(u) / log_q);
 }
 
 double
@@ -136,6 +142,12 @@ Rng::gaussian(double mean, double stddev)
 std::size_t
 Rng::weighted(const std::vector<double> &weights)
 {
+    return weighted(weights, weightTotal(weights));
+}
+
+double
+Rng::weightTotal(const std::vector<double> &weights)
+{
     double total = 0.0;
     for (double w : weights) {
         if (w < 0.0)
@@ -144,6 +156,12 @@ Rng::weighted(const std::vector<double> &weights)
     }
     if (total <= 0.0)
         panic("Rng::weighted: all weights zero");
+    return total;
+}
+
+std::size_t
+Rng::weighted(const std::vector<double> &weights, double total)
+{
     double r = uniform() * total;
     for (std::size_t i = 0; i < weights.size(); ++i) {
         r -= weights[i];

@@ -53,6 +53,13 @@ class Rng
      */
     std::uint64_t geometric(double p);
 
+    /**
+     * geometric(p) with `log_q` = std::log(1.0 - p) computed once by a
+     * caller that has checked p in (0, 1]: the same variate, without a
+     * log of p per draw.
+     */
+    std::uint64_t geometric(double p, double log_q);
+
     /** Standard normal variate (Box–Muller; caches the spare value). */
     double gaussian();
 
@@ -65,6 +72,19 @@ class Rng
      * positive.
      */
     std::size_t weighted(const std::vector<double> &weights);
+
+    /**
+     * weighted(weights) with `total` = weightTotal(weights) computed once
+     * by the caller: the same draw, without re-summing and re-checking
+     * the weights per draw.
+     */
+    std::size_t weighted(const std::vector<double> &weights, double total);
+
+    /**
+     * @return the sum of `weights` as weighted() forms it; panics on a
+     * negative weight or a zero sum.
+     */
+    static double weightTotal(const std::vector<double> &weights);
 
     /**
      * Derive an independent child generator; children with distinct tags

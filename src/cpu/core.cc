@@ -17,6 +17,8 @@ Core::Core(const CpuConfig &cfg, InstructionStream &stream,
         fatal("core widths must be positive");
     if (cfg.window_size == 0 || cfg.lsq_size == 0)
         fatal("window and LSQ sizes must be positive");
+    if (cfg.frontend_capacity < cfg.fetch_width)
+        fatal("frontend capacity must hold a full fetch group");
     const std::uint32_t max_latency =
         std::max({cfg.lat_int_div, cfg.lat_fp_div,
                   memory_.config().memory_latency
@@ -25,6 +27,10 @@ Core::Core(const CpuConfig &cfg, InstructionStream &stream,
         fatal("completion calendar too small for configured latencies");
     window_.resize(std::bit_ceil(cfg.window_size));
     window_mask_ = window_.size() - 1;
+    frontend_.resize(std::bit_ceil(cfg.frontend_capacity));
+    frontend_mask_ = frontend_.size() - 1;
+    ready_slots_.resize(window_.size());
+    store_slots_.resize(window_.size());
     window_head_ = next_seq_ & window_mask_;
 }
 
@@ -65,7 +71,7 @@ Core::fetchStage()
     }
     if (now_ < fetch_stall_until_)
         return;
-    if (frontend_.size() + cfg_.fetch_width > cfg_.frontend_capacity)
+    if (frontend_count_ + cfg_.fetch_width > cfg_.frontend_capacity)
         return; // dispatch backpressure
 
     if (!stream_primed_) {
@@ -100,7 +106,7 @@ Core::fetchStage()
             entry.op = stream_.synthesizeAt(fetch_pc_);
             fetch_pc_ += 4;
             ++stats_.wrong_path_ops;
-            frontend_.push_back(std::move(entry));
+            pushFrontend(entry);
             ++stats_.fetched;
             continue;
         }
@@ -125,10 +131,10 @@ Core::fetchStage()
                                             : entry.op.nextPc();
             entry.mispredicted = eff_next != entry.op.actualNextPc();
 
-            frontend_.push_back(std::move(entry));
+            pushFrontend(entry);
             ++stats_.fetched;
 
-            if (frontend_.back().mispredicted) {
+            if (entry.mispredicted) {
                 on_wrong_path_ = true;
                 fetch_pc_ = eff_next;
                 break; // redirect consumes the rest of the fetch cycle
@@ -140,7 +146,7 @@ Core::fetchStage()
         }
 
         fetch_pc_ = entry.op.nextPc();
-        frontend_.push_back(std::move(entry));
+        pushFrontend(entry);
         ++stats_.fetched;
     }
 }
@@ -151,21 +157,26 @@ void
 Core::dispatchStage()
 {
     for (std::uint32_t n = 0; n < cfg_.dispatch_width; ++n) {
-        if (frontend_.empty() || frontend_.front().ready_cycle > now_)
+        if (frontend_count_ == 0)
+            break;
+        const FrontendEntry &fe = frontend_[frontend_head_];
+        if (fe.ready_cycle > now_)
             break;
         if (window_count_ >= cfg_.window_size)
             break;
-        const bool mem_op = isMemOp(frontend_.front().op.op);
+        const bool mem_op = isMemOp(fe.op.op);
         if (mem_op && lsq_occupancy_ >= cfg_.lsq_size)
             break;
-
-        FrontendEntry fe = std::move(frontend_.front());
-        frontend_.pop_front();
+        // Popping leaves `fe` intact: only fetch, later in the cycle,
+        // refills the slot.
+        frontend_head_ = (frontend_head_ + 1) & frontend_mask_;
+        --frontend_count_;
 
         // The slot after the tail is free; reusing it in place keeps
         // the dependents vector's capacity.
         const std::uint64_t seq = next_seq_++;
-        InflightOp &inflight = window_[seq & window_mask_];
+        const std::uint64_t slot = seq & window_mask_;
+        InflightOp &inflight = window_[slot];
         inflight.op = fe.op;
         inflight.pred = fe.pred;
         inflight.seq = seq;
@@ -201,19 +212,19 @@ Core::dispatchStage()
                 // Oracle disambiguation: find the youngest older store to
                 // the same 8-byte word still in flight.
                 const Addr word = inflight.op.mem_addr & ~Addr{7};
-                for (std::size_t i = window_count_; i-- > 0;) {
-                    InflightOp &older = windowAt(i);
-                    if (older.op.op != OpClass::Store || !older.in_lsq)
-                        continue;
+                store_slots_.scanDown(slot, [&](std::uint64_t older_slot) {
+                    InflightOp &older = window_[older_slot];
                     if ((older.op.mem_addr & ~Addr{7}) != word)
-                        continue;
+                        return true;
                     inflight.has_forward_store = true;
                     if (older.state != OpState::Complete) {
                         older.dependents.push_back(inflight.seq);
                         ++inflight.outstanding;
                     }
-                    break;
-                }
+                    return false;
+                });
+            } else {
+                store_slots_.set(slot);
             }
         }
 
@@ -261,15 +272,11 @@ Core::issueStage()
     std::uint32_t fp_alu_units = cfg_.num_fp_alu;
     std::uint32_t fp_mult_units = cfg_.num_fp_mult;
 
-    stash_.clear();
-    while (!ready_.empty() && (int_slots > 0 || fp_slots > 0)) {
-        const std::uint64_t seq = ready_.top();
-        ready_.pop();
-        InflightOp *op = findOp(seq);
-        if (!op || op->state != OpState::Ready)
-            continue; // squashed or stale entry
-
-        const OpClass cls = op->op.op;
+    ready_slots_.scanUp(window_head_, [&](std::uint64_t slot) {
+        if (int_slots == 0 && fp_slots == 0)
+            return false;
+        InflightOp &op = window_[slot];
+        const OpClass cls = op.op.op;
         bool can_issue = false;
         std::uint32_t latency = executionLatency(cls);
 
@@ -283,10 +290,10 @@ Core::issueStage()
                 ++activity_.issued_mem;
                 ++activity_.lsq_accesses; // associative search
                 if (cls == OpClass::Load) {
-                    if (op->has_forward_store) {
+                    if (op.has_forward_store) {
                         latency = 1; // store-to-load forwarding
                     } else {
-                        latency = memory_.dataAccess(op->op.mem_addr,
+                        latency = memory_.dataAccess(op.op.mem_addr,
                                                      false);
                     }
                 } else {
@@ -354,22 +361,19 @@ Core::issueStage()
             break;
         }
 
-        if (!can_issue) {
-            stash_.push_back(seq);
-            continue;
-        }
+        if (!can_issue)
+            return true;
 
-        op->state = OpState::Issued;
-        activity_.regfile_reads += op->op.num_srcs;
+        op.state = OpState::Issued;
+        ready_slots_.clear(slot);
+        activity_.regfile_reads += op.op.num_srcs;
         if (isFpOp(cls))
             ++activity_.issued_fp;
         else if (!isMemOp(cls))
             ++activity_.issued_int;
-        scheduleCompletion(seq, now_ + latency);
-    }
-
-    for (std::uint64_t seq : stash_)
-        ready_.push(seq);
+        scheduleCompletion(op.seq, now_ + latency);
+        return true;
+    });
 }
 
 // ------------------------------------------------------------------ complete
@@ -441,7 +445,7 @@ void
 Core::markReady(InflightOp &op)
 {
     op.state = OpState::Ready;
-    ready_.push(op.seq);
+    ready_slots_.set(op.seq & window_mask_);
 }
 
 // -------------------------------------------------------------------- commit
@@ -464,6 +468,7 @@ Core::commitStage()
             // hides the latency from the commit pipeline).
             memory_.dataAccess(head.op.mem_addr, true);
             ++activity_.lsq_accesses;
+            store_slots_.clear(window_head_);
         }
         if (head.op.is_branch) {
             bpred_.resolve(head.op, head.pred);
@@ -489,8 +494,11 @@ void
 Core::squashYoungerThan(std::uint64_t seq)
 {
     while (window_count_ > 0 && windowAt(window_count_ - 1).seq > seq) {
-        if (windowAt(window_count_ - 1).in_lsq)
+        const InflightOp &squashed = windowAt(window_count_ - 1);
+        if (squashed.in_lsq)
             --lsq_occupancy_;
+        ready_slots_.clear(squashed.seq & window_mask_);
+        store_slots_.clear(squashed.seq & window_mask_);
         --window_count_;
     }
     // Keep the live window contiguous in slot space: the next seq must
@@ -498,7 +506,7 @@ Core::squashYoungerThan(std::uint64_t seq)
     const std::uint64_t tail_slot =
         (window_head_ + window_count_) & window_mask_;
     next_seq_ += (tail_slot - next_seq_) & window_mask_;
-    frontend_.clear();
+    frontend_count_ = 0;
 
     // Rebuild the rename map and the unresolved-branch count from the
     // surviving window contents.

@@ -20,14 +20,13 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <queue>
 #include <vector>
 
 #include "branch/hybrid.hh"
 #include "cache/hierarchy.hh"
 #include "cpu/activity.hh"
 #include "cpu/config.hh"
+#include "cpu/slot_bitmap.hh"
 #include "isa/micro_op.hh"
 #include "workload/instruction_stream.hh"
 
@@ -171,6 +170,13 @@ class Core
     void squashYoungerThan(std::uint64_t seq);
     void scheduleCompletion(std::uint64_t seq, std::uint64_t at_cycle);
     InflightOp *findOp(std::uint64_t seq);
+    /** Append an entry to the frontend pipe (fetch keeps it in bounds). */
+    void
+    pushFrontend(const FrontendEntry &entry)
+    {
+        frontend_[(frontend_head_ + frontend_count_++) & frontend_mask_] =
+            entry;
+    }
     /** @return the window op `i` places younger than the oldest. */
     InflightOp &
     windowAt(std::size_t i)
@@ -197,13 +203,20 @@ class Core
     bool stream_primed_ = false;
     MicroOp pending_correct_op_{};
 
-    // Frontend pipe (decode + rename stages).
-    std::deque<FrontendEntry> frontend_;
+    // Frontend pipe (decode + rename stages): a ring of
+    // bit_ceil(frontend_capacity) entries, the frontend_count_ live ones
+    // from frontend_head_ on, oldest first.
+    std::vector<FrontendEntry> frontend_;
+    std::size_t frontend_mask_ = 0;
+    std::size_t frontend_head_ = 0;
+    std::size_t frontend_count_ = 0;
 
     // Window (RUU) as a ring of power-of-two size: an op lives in slot
     // seq & window_mask_, and the live ops are the window_count_ slots
-    // from window_head_ on. Seqs are never reused (stale ones linger in
-    // ready_, the calendar and dependents lists), so a squash skips
+    // from window_head_ on. The ready_slots_ and store_slots_ bitmaps are
+    // over the same slots, with a bit set only while its slot holds a
+    // live Ready op or store. Seqs are never reused (stale ones linger
+    // only in the calendar and dependents lists), so a squash skips
     // next_seq_ forward to the value mapping to the slot after the tail.
     std::vector<InflightOp> window_;
     std::uint64_t window_mask_ = 0;
@@ -214,17 +227,16 @@ class Core
     std::uint64_t next_seq_ = 1;
     std::size_t lsq_occupancy_ = 0;
 
-    // Ready ops, oldest first (lazily invalidated after squashes).
-    std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
-                        std::greater<>>
-        ready_;
+    /** Slots whose op is Ready; issue scans it oldest first. */
+    SlotBitmap ready_slots_;
+    /** Slots holding a store; load forwarding scans it youngest first. */
+    SlotBitmap store_slots_;
 
     // Completion calendar: cycle -> seqs completing that cycle.
     static constexpr std::size_t kCalendarSlots = 256;
     std::array<std::vector<std::uint64_t>, kCalendarSlots> calendar_;
 
     // Per-cycle scratch, kept so its capacity is reused every cycle.
-    std::vector<std::uint64_t> stash_;      ///< ready ops that did not issue
     std::vector<std::uint64_t> completing_; ///< ops completing this cycle
 
     // Unpipelined units busy-until cycles.

@@ -54,7 +54,13 @@ SyntheticWorkload::SyntheticWorkload(WorkloadProfile profile)
               "': region footprints must be at least one cache block");
     }
     buildProgram();
-    recomputePhaseParams();
+    if (profile_.phases.empty()) {
+        phase_params_.push_back(phaseParams(nullptr));
+    } else {
+        for (const WorkloadPhase &phase : profile_.phases)
+            phase_params_.push_back(phaseParams(&phase));
+        phase_insts_left_ = profile_.phases.front().length_insts;
+    }
 }
 
 void
@@ -155,19 +161,14 @@ SyntheticWorkload::buildProgram()
     }
 }
 
-void
-SyntheticWorkload::recomputePhaseParams()
+SyntheticWorkload::EffectiveParams
+SyntheticWorkload::phaseParams(const WorkloadPhase *phase) const
 {
-    const WorkloadPhase *phase = nullptr;
-    if (!profile_.phases.empty()) {
-        phase = &profile_.phases[phase_index_];
-        phase_insts_left_ = phase->length_insts;
-    }
-
     const double fp_scale = phase ? phase->fp_scale : 1.0;
     const double mem_scale = phase ? phase->mem_scale : 1.0;
 
-    eff_.op_weights = {
+    EffectiveParams eff;
+    eff.op_weights = {
         profile_.mix.int_alu,
         profile_.mix.int_mult,
         profile_.mix.int_div,
@@ -178,21 +179,31 @@ SyntheticWorkload::recomputePhaseParams()
         profile_.mix.store * mem_scale,
     };
     bool any = false;
-    for (double w : eff_.op_weights)
+    for (double w : eff.op_weights) {
+        if (w < 0.0)
+            fatal("WorkloadProfile '", profile_.name,
+                  "': instruction mix weights must be non-negative");
         any = any || w > 0.0;
+    }
     if (!any)
         fatal("WorkloadProfile '", profile_.name,
               "': instruction mix has no non-branch weight");
+    eff.op_total = Rng::weightTotal(eff.op_weights);
 
-    eff_.cold_frac = profile_.cold_frac;
-    eff_.warm_frac = profile_.warm_frac;
-    eff_.dep_p = profile_.dep_p;
+    eff.cold_frac = profile_.cold_frac;
+    eff.warm_frac = profile_.warm_frac;
+    eff.dep_p = profile_.dep_p;
     if (phase) {
         if (phase->cold_frac_override >= 0.0)
-            eff_.cold_frac = phase->cold_frac_override;
+            eff.cold_frac = phase->cold_frac_override;
+        if (phase->dep_p_override > 1.0)
+            fatal("WorkloadProfile '", profile_.name,
+                  "': a phase's dep_p_override must be in (0, 1]");
         if (phase->dep_p_override > 0.0)
-            eff_.dep_p = phase->dep_p_override;
+            eff.dep_p = phase->dep_p_override;
     }
+    eff.dep_log_q = std::log(1.0 - eff.dep_p);
+    return eff;
 }
 
 void
@@ -205,14 +216,15 @@ SyntheticWorkload::advancePhaseAccounting()
         --phase_insts_left_;
     if (phase_insts_left_ == 0) {
         phase_index_ = (phase_index_ + 1) % profile_.phases.size();
-        recomputePhaseParams();
+        phase_insts_left_ = profile_.phases[phase_index_].length_insts;
     }
 }
 
 OpClass
 SyntheticWorkload::sampleOpClass()
 {
-    return kBodyClasses[rng_.weighted(eff_.op_weights)];
+    const EffectiveParams &e = eff();
+    return kBodyClasses[rng_.weighted(e.op_weights, e.op_total)];
 }
 
 void
@@ -232,7 +244,7 @@ SyntheticWorkload::pickSrc(bool fp)
 {
     const auto &ring = fp ? recent_fp_ : recent_int_;
     const std::size_t head = fp ? fp_head_ : int_head_;
-    std::uint64_t dist = 1 + rng_.geometric(eff_.dep_p);
+    std::uint64_t dist = 1 + rng_.geometric(eff().dep_p, eff().dep_log_q);
     dist = std::min<std::uint64_t>(dist, kDestRing - 1);
     RegId reg = ring[(head + kDestRing - dist) % kDestRing];
     if (reg == kNoReg) {
@@ -262,15 +274,16 @@ SyntheticWorkload::allocDest(bool fp)
 Addr
 SyntheticWorkload::genMemAddr()
 {
+    const EffectiveParams &e = eff();
     const double r = rng_.uniform();
     Addr base;
     std::uint64_t size;
     Addr *stride_pos;
-    if (r < eff_.cold_frac) {
+    if (r < e.cold_frac) {
         base = kColdBase;
         size = profile_.cold_bytes;
         stride_pos = &cold_stride_pos_;
-    } else if (r < eff_.cold_frac + eff_.warm_frac) {
+    } else if (r < e.cold_frac + e.warm_frac) {
         base = kWarmBase;
         size = profile_.warm_bytes;
         stride_pos = &warm_stride_pos_;
@@ -445,7 +458,8 @@ SyntheticWorkload::synthesizeAt(Addr pc)
     // predictors treat unknown PCs as not-taken anyway).
     MicroOp op;
     op.pc = pc;
-    op.op = kBodyClasses[wrong_rng_.weighted(eff_.op_weights)];
+    op.op = kBodyClasses[wrong_rng_.weighted(eff().op_weights,
+                                             eff().op_total)];
     const bool fp = isFpOp(op.op);
     // Wrong-path memory accesses mostly touch the same hot data the
     // correct path uses (the wrong path is nearby code), with occasional

@@ -73,18 +73,28 @@ class SyntheticWorkload : public InstructionStream
         std::uint8_t len = 4;            ///< micro-ops incl. return
     };
 
-    /** Parameters derived from profile + current phase. */
+    /** Parameters derived from profile + one phase, with cached draws. */
     struct EffectiveParams
     {
         std::vector<double> op_weights; ///< non-branch class weights
+        double op_total = 0.0;          ///< Rng::weightTotal(op_weights)
         double cold_frac = 0.01;
         double warm_frac = 0.06;
         double dep_p = 0.35;
+        double dep_log_q = 0.0;         ///< std::log(1.0 - dep_p)
     };
 
     void buildProgram();
-    void recomputePhaseParams();
+    /** Validate and derive the parameters of `phase` (null: no phases). */
+    EffectiveParams phaseParams(const WorkloadPhase *phase) const;
     void advancePhaseAccounting();
+
+    /** The parameters of the current phase. */
+    const EffectiveParams &
+    eff() const
+    {
+        return phase_params_[phase_index_];
+    }
 
     /** Sample a non-branch op class from the effective mix. */
     OpClass sampleOpClass();
@@ -138,7 +148,8 @@ class SyntheticWorkload : public InstructionStream
     // phase machinery
     std::size_t phase_index_ = 0;
     std::uint64_t phase_insts_left_ = 0;
-    EffectiveParams eff_;
+    /** One entry per phase (one in all when there are none). */
+    std::vector<EffectiveParams> phase_params_;
 
     std::uint64_t generated_ = 0;
 };

@@ -4,6 +4,8 @@
  * and distribution sanity.
  */
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
@@ -145,6 +147,25 @@ TEST(Rng, WeightedFollowsWeights)
     EXPECT_NEAR(counts[2] / double(n), 0.75, 0.01);
     EXPECT_THROW(rng.weighted({0.0, 0.0}), PanicError);
     EXPECT_THROW(rng.weighted({-1.0, 2.0}), PanicError);
+    EXPECT_THROW(Rng::weightTotal({0.0, 0.0}), PanicError);
+    EXPECT_THROW(Rng::weightTotal({-1.0, 2.0}), PanicError);
+}
+
+TEST(Rng, PrecomputedDrawsMatchTheCheckedOnes)
+{
+    // The cached total and log(1 - p) give the same draws from the same
+    // state, and p = 1 draws nothing on either path.
+    Rng checked(11), cached(11);
+    const std::vector<double> w = {0.4, 0.01, 0.002, 0.05, 0.3};
+    const double total = Rng::weightTotal(w);
+    for (double p : {0.05, 0.35, 1.0}) {
+        const double log_q = std::log(1.0 - p);
+        for (int i = 0; i < 10000; ++i) {
+            ASSERT_EQ(checked.weighted(w), cached.weighted(w, total));
+            ASSERT_EQ(checked.geometric(p), cached.geometric(p, log_q));
+        }
+    }
+    EXPECT_EQ(checked.next(), cached.next());
 }
 
 } // namespace

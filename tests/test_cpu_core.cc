@@ -288,6 +288,8 @@ TEST(Core, MispredictsSquashWrongPathAndRecover)
 
 TEST(Core, StoreLoadForwardingCompletes)
 {
+    // Eight store/load pairs to distinct words, then the loop branch:
+    // every load's youngest older store to its word is its own pair's.
     std::vector<MicroOp> body;
     for (int i = 0; i < 8; ++i) {
         MicroOp st;
@@ -305,14 +307,39 @@ TEST(Core, StoreLoadForwardingCompletes)
         body.push_back(ld);
     }
     body.push_back(alu());
+    const std::uint64_t body_len = body.size();
+
+    // 7 and 8 slots wrap the ring every few dispatches, so the youngest
+    // store sits on either side of the wrap; 80 is the paper's RUU.
+    for (std::uint32_t window_size : {7u, 8u, 80u}) {
+        LoopStream stream(body);
+        MemoryHierarchy mem;
+        CpuConfig cfg;
+        cfg.window_size = window_size;
+        cfg.lsq_size = window_size / 2;
+        Core core(cfg, stream, mem);
+        std::uint64_t l1d_accesses = 0;
+        for (int i = 0; i < 30000; ++i) {
+            core.tick();
+            l1d_accesses += core.activity().l1d_accesses;
+        }
+        // Stores sit at the even body positions before the branch.
+        const std::uint64_t committed = core.stats().committed;
+        const std::uint64_t stores =
+            committed / body_len * 8 + (committed % body_len + 1) / 2;
+        // Forwarded loads never touch the D-cache, so its only accesses
+        // are the stores' writes at commit.
+        EXPECT_EQ(l1d_accesses, stores) << "window_size " << window_size;
+        EXPECT_GT(stores, 10000u) << "window_size " << window_size;
+    }
+
+    // With 16 of 17 body ops being memory ops the pair pattern must
+    // still flow at a healthy rate through 2 memory ports.
     LoopStream stream(std::move(body));
     MemoryHierarchy mem;
     Core core(CpuConfig{}, stream, mem);
     for (int i = 0; i < 30000; ++i)
         core.tick();
-    // Forwarded loads never touch the D-cache; with 16 of 17 body ops
-    // being memory ops the pair pattern must still flow at a healthy
-    // rate through 2 memory ports.
     EXPECT_GT(core.stats().ipc(), 1.0);
 }
 
@@ -352,6 +379,15 @@ TEST(Core, RejectsBadConfig)
     cfg = CpuConfig{};
     cfg.window_size = 0;
     EXPECT_THROW(Core(cfg, stream, mem), FatalError);
+    // A decode pipe smaller than a fetch group would never fetch.
+    for (std::uint32_t capacity : {0u, 3u}) {
+        cfg = CpuConfig{};
+        cfg.frontend_capacity = capacity;
+        EXPECT_THROW(Core(cfg, stream, mem), FatalError) << capacity;
+    }
+    cfg = CpuConfig{};
+    cfg.frontend_capacity = cfg.fetch_width;
+    EXPECT_NO_THROW(Core(cfg, stream, mem));
 }
 
 TEST(Core, ResetStatsClearsCounters)
@@ -367,6 +403,49 @@ TEST(Core, ResetStatsClearsCounters)
     EXPECT_EQ(core.stats().committed, 0u);
 }
 
+TEST(SlotBitmap, ScansWrapInSlotOrder)
+{
+    // Against a brute-force walk, for one-word and multi-word rings and
+    // start slots on and off word boundaries.
+    for (std::size_t slots : {8u, 64u, 256u}) {
+        SlotBitmap bits;
+        bits.resize(slots);
+        std::vector<bool> member(slots);
+        for (std::size_t i = 0; i < slots; ++i) {
+            member[i] = (i * 7 + 3) % 5 < 2;
+            if (member[i])
+                bits.set(i);
+        }
+        bits.set(1);
+        bits.clear(1);
+        member[1] = false;
+        for (std::size_t start : {std::size_t{0}, std::size_t{1}, slots / 2,
+                                  slots - 1}) {
+            std::vector<std::size_t> up, down, want_up, want_down;
+            bits.scanUp(start, [&](std::uint64_t slot) {
+                up.push_back(slot);
+                return true;
+            });
+            bits.scanDown(start, [&](std::uint64_t slot) {
+                down.push_back(slot);
+                return true;
+            });
+            for (std::size_t k = 0; k < slots; ++k) {
+                if (member[(start + k) % slots])
+                    want_up.push_back((start + k) % slots);
+                if (member[(start + slots - 1 - k) % slots])
+                    want_down.push_back((start + slots - 1 - k) % slots);
+            }
+            EXPECT_EQ(up, want_up) << slots << " slots from " << start;
+            EXPECT_EQ(down, want_down) << slots << " slots below " << start;
+
+            std::size_t visits = 0;
+            bits.scanUp(start, [&](std::uint64_t) { return ++visits < 2; });
+            EXPECT_EQ(visits, std::min<std::size_t>(2, want_up.size()));
+        }
+    }
+}
+
 /**
  * Digest of a bare core's cycle-by-cycle trajectory over three SPEC
  * profiles at one window size: every cycle's activity counters and
@@ -375,7 +454,8 @@ TEST(Core, ResetStatsClearsCounters)
  * gating and full-window stalls all occur.
  */
 std::string
-windowTrajectoryDigest(std::uint32_t window_size)
+windowTrajectoryDigest(std::uint32_t window_size,
+                       std::uint32_t frontend_capacity = 32)
 {
     HashStream h;
     for (const char *name : {"176.gcc", "179.art", "186.crafty"}) {
@@ -384,6 +464,7 @@ windowTrajectoryDigest(std::uint32_t window_size)
         CpuConfig cfg;
         cfg.window_size = window_size;
         cfg.lsq_size = std::max<std::uint32_t>(1, window_size / 2);
+        cfg.frontend_capacity = frontend_capacity;
         Core core(cfg, wl, mem);
         std::size_t max_occupancy = 0;
         for (std::uint64_t c = 0; c < 20000; ++c) {
@@ -429,6 +510,16 @@ TEST(Core, WindowTrajectoryPinned)
     for (const auto &[window_size, digest] : pinned)
         EXPECT_EQ(windowTrajectoryDigest(window_size), digest)
             << "window_size " << window_size;
+
+    // The decode pipe at the paper's window: exactly one fetch group,
+    // one more slot than a group, and one more slot than a power of two.
+    const std::pair<std::uint32_t, const char *> pinned_frontend[] = {
+        {4, "2ee71f89c95eaedd"}, {5, "4024f0c1298c18b8"},
+        {33, "5adf2cb3ef3c5511"},
+    };
+    for (const auto &[capacity, digest] : pinned_frontend)
+        EXPECT_EQ(windowTrajectoryDigest(80, capacity), digest)
+            << "frontend_capacity " << capacity;
 }
 
 } // namespace

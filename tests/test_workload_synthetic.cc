@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "workload/spec_profiles.hh"
 #include "workload/synthetic.hh"
@@ -264,6 +265,80 @@ TEST(SyntheticWorkload, RejectsInvalidProfiles)
     p = simpleProfile();
     p.hot_bytes = 8;
     EXPECT_THROW(SyntheticWorkload{p}, FatalError);
+
+    // Every phase is checked up front, not when the stream reaches it
+    // (art's second phase starts 250k instructions in).
+    p = specProfile("179.art");
+    ASSERT_GE(p.phases.size(), 2u);
+    p.phases[1].dep_p_override = 1.5;
+    EXPECT_THROW(SyntheticWorkload{p}, FatalError);
+
+    p = specProfile("179.art");
+    p.phases[1].fp_scale = -1.0;
+    EXPECT_THROW(SyntheticWorkload{p}, FatalError);
+}
+
+/** Fold every field of a micro-op into `h`. */
+void
+hashOp(HashStream &h, const MicroOp &op)
+{
+    h.u64(op.pc).u64(static_cast<std::uint64_t>(op.op)).u64(op.num_srcs);
+    h.u64(op.srcs[0]).u64(op.srcs[1]).u64(op.dest);
+    h.u64(op.mem_addr).u64(op.mem_size);
+    h.b(op.is_branch).b(op.is_conditional).b(op.is_call);
+    h.b(op.is_return).b(op.taken).u64(op.target);
+}
+
+/**
+ * Digest of a profile's stream as the core consumes it: committed-path
+ * ops with bursts of wrong-path ops synthesized after some of them.
+ */
+std::string
+streamDigest(const WorkloadProfile &profile)
+{
+    HashStream h;
+    SyntheticWorkload wl(profile);
+    for (int i = 0; i < 20000; ++i) {
+        const MicroOp op = wl.next();
+        hashOp(h, op);
+        if (i % 9 == 0) {
+            for (Addr k = 1; k <= 3; ++k)
+                hashOp(h, wl.synthesizeAt(op.pc + 4 * k));
+        }
+    }
+    return hashHex(h.digest());
+}
+
+/** streamDigest() of every SPEC profile, folded into one digest. */
+std::string
+specStreamsDigest()
+{
+    HashStream h;
+    for (const auto &profile : allSpecProfiles())
+        h.str(streamDigest(profile));
+    return hashHex(h.digest());
+}
+
+TEST(SyntheticWorkload, StreamPinned)
+{
+    // Every SPEC profile; none switches phase within 20 000 ops.
+    EXPECT_EQ(specStreamsDigest(), "6ca8eed783235843");
+
+    // Short phases that rescale the mix and override the dependence
+    // parameter (p = 1 draws nothing) and the cold and random fractions.
+    auto p = simpleProfile();
+    p.mix.fp_alu = 0.1;
+    p.mix.fp_mult = 0.05;
+    p.mix.fp_div = 0.01;
+    p.phases = {
+        {.length_insts = 1000, .fp_scale = 2.5, .mem_scale = 0.5,
+         .dep_p_override = 0.8},
+        {.length_insts = 1000, .fp_scale = 0.2, .mem_scale = 1.7,
+         .cold_frac_override = 0.2, .dep_p_override = 0.1},
+        {.length_insts = 1000, .fp_scale = 0.0, .dep_p_override = 1.0,
+         .random_branch_override = 0.9},
+    };
+    EXPECT_EQ(streamDigest(p), "07edcdf1fea8551e");
 }
 
 TEST(SpecProfiles, Exactly18InTable4Order)
