@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "common/flags.hh"
 #include "common/logging.hh"
 #include "workload/spec_profiles.hh"
 
@@ -13,27 +12,6 @@ namespace thermctl::bench
 
 namespace
 {
-
-bool
-envFlag(const char *name)
-{
-    const char *v = std::getenv(name);
-    return v && v[0] == '1';
-}
-
-RunProtocol
-makeProtocol()
-{
-    RunProtocol proto;
-    if (envFlag("THERMCTL_FAST")) {
-        proto.warmup_cycles = 120000;
-        proto.measure_cycles = 300000;
-    } else {
-        proto.warmup_cycles = 300000;
-        proto.measure_cycles = 1000000;
-    }
-    return proto;
-}
 
 void
 usage(const char *prog)
@@ -47,72 +25,53 @@ usage(const char *prog)
         "THERMCTL_CACHE_DIR or ~/.cache/thermctl)\n"
         "  --no-cache      disable the on-disk result cache "
         "(THERMCTL_NO_CACHE=1)\n"
-        "  --quiet         suppress sweep progress on stderr\n"
+        "  --quiet         suppress sweep progress on stderr "
+        "(THERMCTL_QUIET=1)\n"
         "env: THERMCTL_FAST=1 shortens the run protocol for smoke "
         "runs\n",
         prog);
 }
 
-struct ParsedArgs
-{
-    SweepOptions opts;
-    bool quiet = false;
-};
-
-ParsedArgs
-parseArgs(int argc, char **argv)
-{
-    ParsedArgs parsed;
-    parsed.opts.use_cache = !envFlag("THERMCTL_NO_CACHE");
-    parsed.quiet = envFlag("THERMCTL_QUIET");
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: missing value for %s\n",
-                             argv[0], arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--jobs") {
-            unsigned v = 0;
-            try {
-                v = parseFlag<unsigned>(arg, next());
-            } catch (const FatalError &) {
-                v = 0; // reported below
-            }
-            if (v < 1) {
-                std::fprintf(stderr, "%s: --jobs must be an integer >= 1\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            parsed.opts.jobs = v;
-        } else if (arg == "--cache-dir") {
-            parsed.opts.cache_dir = next();
-        } else if (arg == "--no-cache") {
-            parsed.opts.use_cache = false;
-        } else if (arg == "--quiet") {
-            parsed.quiet = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            std::exit(0);
-        } else {
-            usage(argv[0]);
-            std::fprintf(stderr, "%s: unknown option %s\n", argv[0],
-                         arg.c_str());
-            std::exit(2);
-        }
-    }
-    return parsed;
-}
-
 } // namespace
 
-Session::Session(const SweepOptions &opts, bool quiet)
-    : proto_(makeProtocol()), engine_(opts), quiet_(quiet)
+Session::Session(int argc, char **argv, const std::string &title,
+                 const std::string &paper_ref)
 {
+    const char *fast = std::getenv("THERMCTL_FAST");
+    fast_ = fast && fast[0] == '1';
+    proto_.warmup_cycles = fast_ ? 120000 : 300000;
+    proto_.measure_cycles = fast_ ? 300000 : 1000000;
+    const char *quiet = std::getenv("THERMCTL_QUIET");
+    quiet_ = quiet && quiet[0] == '1';
+
+    // A bad flag exits 2 with the message every engine binary prints.
+    SweepOptions opts = SweepEngine::defaultOptions();
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            auto next = [&]() -> std::string {
+                if (i + 1 >= argc)
+                    fatal("missing value for ", arg);
+                return argv[++i];
+            };
+            if (parseSweepFlag(arg, next, opts))
+                continue;
+            if (arg == "--quiet") {
+                quiet_ = true;
+            } else if (arg == "--help" || arg == "-h") {
+                usage(argv[0]);
+                std::exit(0);
+            } else {
+                usage(argv[0]);
+                fatal("unknown option ", arg);
+            }
+        }
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        std::exit(2);
+    }
+    engine_ = SweepEngine(opts);
+
     if (!quiet_) {
         engine_.setTelemetry(SweepTelemetry{
             .on_run_start = nullptr,
@@ -132,16 +91,8 @@ Session::Session(const SweepOptions &opts, bool quiet)
                 },
         });
     }
-}
-
-Session::Session(int argc, char **argv, const std::string &title,
-                 const std::string &paper_ref)
-    : Session(parseArgs(argc, argv).opts, parseArgs(argc, argv).quiet)
-{
     printTitle(title, paper_ref);
 }
-
-Session::Session() : Session(parseArgs(0, nullptr).opts, true) {}
 
 SweepSpec
 Session::spec() const

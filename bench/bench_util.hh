@@ -3,9 +3,9 @@
  * Shared plumbing for the table/figure reproduction binaries.
  *
  * bench::Session is the one object a binary constructs: it parses the
- * shared sweep flags (--jobs, --cache-dir, --no-cache, --quiet) and
- * environment (THERMCTL_JOBS, THERMCTL_CACHE_DIR, THERMCTL_NO_CACHE,
- * THERMCTL_FAST), owns the standard run protocol and a cache-backed
+ * engine flags (--jobs, --cache-dir, --no-cache, through the same
+ * parseSweepFlag as every tool) plus --quiet, reads THERMCTL_FAST and
+ * THERMCTL_QUIET, owns the standard run protocol and a cache-backed
  * SweepEngine with progress telemetry on stderr, and prints the
  * standard experiment header. The shared no-DTM characterization sweep
  * behind Tables 4-8 is one cached grid: the first binary to run it
@@ -29,21 +29,21 @@ class Session
 {
   public:
     /**
-     * Parse the shared flags from `argv` (fatal on unknown arguments,
-     * exits on --help), then print the standard header naming the
+     * Parse the shared flags from `argv` (exits 0 on --help, and 2 on a
+     * bad or unknown flag), then print the standard header naming the
      * experiment.
      */
     Session(int argc, char **argv, const std::string &title,
             const std::string &paper_ref);
-
-    /** Environment-configured session without a header (tests). */
-    Session();
 
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;
 
     /** Standard run protocol (honours THERMCTL_FAST=1). */
     const RunProtocol &protocol() const { return proto_; }
+
+    /** @return true under THERMCTL_FAST=1 (the shortened protocol). */
+    bool fast() const { return fast_; }
 
     /** The cache-backed engine executing this session's sweeps. */
     const SweepEngine &engine() const { return engine_; }
@@ -70,10 +70,9 @@ class Session
                            const std::string &paper_ref);
 
   private:
-    explicit Session(const SweepOptions &opts, bool quiet);
-
     RunProtocol proto_;
     SweepEngine engine_;
+    bool fast_ = false;
     bool quiet_ = false;
 };
 

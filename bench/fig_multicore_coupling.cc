@@ -17,21 +17,16 @@
  * nudges interior cores hotter than the isolated variant at the same
  * count.
  *
- * The sweep itself runs through the cached SweepEngine like every other
- * figure. A separate uncached, timed stepping loop measures raw engine
- * throughput (nominal cycles/second at each core count) and writes it
- * to a machine-readable JSON report (--json PATH, default
- * BENCH_sim.json) so CI can track simulator performance.
+ * The sweep runs through the cached SweepEngine like every other
+ * figure. The simulator's raw stepping rate is a benchmark concern:
+ * perf/run.sh --workload sim_chip16 and microbench_components
+ * (BM_MulticoreStep) measure it.
  */
 
-#include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "common/table.hh"
 #include "multicore/multicore_sim.hh"
 #include "workload/spec_profiles.hh"
@@ -43,82 +38,14 @@ namespace
 
 constexpr std::uint32_t kCoreCounts[] = {1, 2, 4, 8, 16};
 
-/** One timed, uncached stepping measurement at a given core count. */
-struct StepRate
-{
-    std::uint32_t cores = 0;
-    std::uint64_t cycles = 0;
-    double seconds = 0.0;
-    double cycles_per_sec = 0.0;
-};
-
-StepRate
-timeStepping(std::uint32_t cores, std::uint64_t cycles)
-{
-    SimConfig cfg;
-    cfg.workload = specProfile("186.crafty");
-    cfg.policy.kind = DtmPolicyKind::PerCorePid;
-    cfg.multicore.num_cores = cores;
-    multicore::MulticoreSimulator sim(cfg);
-    sim.warmUp(cycles / 10);
-
-    const auto start = std::chrono::steady_clock::now();
-    sim.run(cycles);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now()
-                                      - start)
-            .count();
-
-    StepRate r;
-    r.cores = cores;
-    r.cycles = cycles;
-    r.seconds = secs;
-    r.cycles_per_sec =
-        secs > 0.0 ? static_cast<double>(cycles) / secs : 0.0;
-    return r;
-}
-
-void
-writeJson(const std::string &path, const std::vector<StepRate> &rates)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open ", path);
-    out << "{\n  \"benchmark\": \"multicore_stepping\",\n  \"rates\": [\n";
-    for (std::size_t i = 0; i < rates.size(); ++i) {
-        const StepRate &r = rates[i];
-        out << "    {\"cores\": " << r.cores
-            << ", \"nominal_cycles\": " << r.cycles
-            << ", \"seconds\": " << r.seconds
-            << ", \"cycles_per_sec\": " << r.cycles_per_sec << "}"
-            << (i + 1 < rates.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    // The shared flags go to the Session; --json is ours.
-    std::string json_path = "BENCH_sim.json";
-    std::vector<char *> passthrough;
-    passthrough.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--json") {
-            if (i + 1 >= argc)
-                fatal("missing value for --json");
-            json_path = argv[++i];
-        } else {
-            passthrough.push_back(argv[i]);
-        }
-    }
-
     multicore::ensureBackendRegistered();
     bench::Session session(
-        static_cast<int>(passthrough.size()), passthrough.data(),
-        "Figure: multicore scaling and inter-core coupling",
+        argc, argv, "Figure: multicore scaling and inter-core coupling",
         "extension (multicore thermal RC network; DESIGN.md section 15)");
 
     auto profile = specProfile("186.crafty");
@@ -166,24 +93,5 @@ main(int argc, char **argv)
         t.addRule();
     }
     t.print(std::cout);
-
-    // Uncached engine-throughput measurement (never cache this: the
-    // point is wall-clock speed, not the simulated result).
-    const char *fast = std::getenv("THERMCTL_FAST");
-    const std::uint64_t cycles =
-        (fast && fast[0] == '1') ? 20000 : 200000;
-    std::vector<StepRate> rates;
-    for (std::uint32_t cores : kCoreCounts)
-        rates.push_back(timeStepping(cores, cycles));
-    writeJson(json_path, rates);
-
-    std::cout << "\nengine stepping rate (uncached, " << cycles
-              << " nominal cycles each):\n";
-    for (const StepRate &r : rates) {
-        std::cout << "  " << r.cores << " cores: "
-                  << formatDouble(r.cycles_per_sec / 1e6, 2)
-                  << " Mcycles/s\n";
-    }
-    std::cout << "wrote " << json_path << "\n";
     return 0;
 }

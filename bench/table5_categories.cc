@@ -6,7 +6,6 @@
  */
 
 #include <iostream>
-#include <cstdlib>
 #include <map>
 
 #include "bench_util.hh"
@@ -52,8 +51,7 @@ main(int argc, char **argv)
               << " of " << results.size() << "\n";
     // Category boundaries are only meaningful under the full protocol;
     // THERMCTL_FAST runs are too short for the hottest excursions.
-    const char *fast = std::getenv("THERMCTL_FAST");
-    if (fast && fast[0] == '1')
+    if (session.fast())
         return 0;
     return mismatches > 2 ? 1 : 0;
 }

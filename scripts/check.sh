@@ -17,6 +17,11 @@
 #                  committed baseline (.thermctl-analyze-allow); --ci
 #                  makes stale entries fail the stage; one invocation
 #                  over the whole tree so cross-file edges are visible
+#   bench-smoke    every bench::Session binary (plain build) run from the
+#                  repository root with THERMCTL_FAST=1 --quiet and a
+#                  throwaway cache directory: each must exit 0 and leave
+#                  `git status --porcelain` unchanged (no stray
+#                  BENCH_*.json or other file); prints its wall time
 #   perf-smoke     every benchmark workload (perf/run.sh --smoke) at 1/20
 #                  size in its pinned build-perf/ tree; any failed op,
 #                  a golden-digest mismatch included, fails the stage —
@@ -85,7 +90,7 @@ cd "${repo_root}"
 jobs="$(nproc 2>/dev/null || echo 4)"
 base="build-check"
 
-all_stages="format plain analyze perf-smoke thread-safety asan serve multicore loadgen-smoke chaos-smoke cluster-smoke tsan fuzz-replay tidy"
+all_stages="format plain analyze bench-smoke perf-smoke thread-safety asan serve multicore loadgen-smoke chaos-smoke cluster-smoke tsan fuzz-replay tidy"
 selected="all"
 while [ $# -gt 0 ]; do
     case "$1" in
@@ -143,6 +148,38 @@ if want analyze; then
         --layers .thermctl-layers --allowlist .thermctl-analyze-allow \
         --exclude tests/analyze/fixtures \
         src/ tools/ tests/ bench/ examples/
+fi
+
+if want bench-smoke; then
+    stage "bench smoke (every Session bench binary, THERMCTL_FAST=1)"
+    cmake -B "${base}/plain" -S . \
+        -DTHERMCTL_WERROR=ON -DTHERMCTL_INVARIANTS=ON >/dev/null
+    # Every bench/*.cc is a bench::Session binary except the shared
+    # library and microbench_components (a Google Benchmark binary).
+    benches="$(cd bench && ls ./*.cc | sed -e 's|^\./||' -e 's|\.cc$||' \
+        | grep -v -x -e bench_util -e microbench_components)"
+    # shellcheck disable=SC2086 # one target per word
+    cmake --build "${base}/plain" -j "${jobs}" --target ${benches}
+    bench_cache="$(mktemp -d)"
+    trap 'rm -rf "${bench_cache}"' EXIT
+    tree_before="$(git status --porcelain)"
+    bench_start="${SECONDS}"
+    for b in ${benches}; do
+        THERMCTL_FAST=1 "${base}/plain/bench/${b}" --quiet \
+            --cache-dir "${bench_cache}" >/dev/null || {
+            echo "bench smoke: ${b} failed" >&2
+            exit 1
+        }
+    done
+    if [ "$(git status --porcelain)" != "${tree_before}" ]; then
+        echo "bench smoke: the bench binaries changed the tree:" >&2
+        git status --porcelain >&2
+        exit 1
+    fi
+    echo "bench smoke: $(echo "${benches}" | wc -l) binaries in" \
+        "$((SECONDS - bench_start)) s"
+    rm -rf "${bench_cache}"
+    trap - EXIT
 fi
 
 if want perf-smoke; then

@@ -40,10 +40,10 @@ parseFlag(std::string_view flag, std::string_view text)
     if constexpr (std::is_floating_point_v<T>)
         ok = ok && std::isfinite(value);
     if (!ok) {
-        fatal(flag, ": '", text, "' is not a ",
-              std::is_floating_point_v<T> ? "finite number"
-              : std::is_unsigned_v<T>     ? "non-negative integer"
-                                          : "integer",
+        fatal(flag, ": '", text, "' is not ",
+              std::is_floating_point_v<T> ? "a finite number"
+              : std::is_unsigned_v<T>     ? "a non-negative integer"
+                                          : "an integer",
               " in range");
     }
     return value;

@@ -628,28 +628,10 @@ class Flock
         // quarantine window. If every other worker is also quarantined
         // the points stay here — stealing ignores health, so they are
         // picked up the moment anyone recovers.
-        std::deque<std::size_t> keep;
-        while (!w.backlog.empty()) {
-            const std::size_t pi = w.backlog.front();
-            w.backlog.pop_front();
-            std::size_t target = wi;
-            std::size_t depth = std::numeric_limits<std::size_t>::max();
-            for (std::size_t j = 0; j < workers_.size(); ++j) {
-                if (j == wi
-                    || workers_[j].health == WorkerHealth::Quarantined) {
-                    continue;
-                }
-                if (workers_[j].backlog.size() < depth) {
-                    target = j;
-                    depth = workers_[j].backlog.size();
-                }
-            }
-            if (target == wi)
-                keep.push_back(pi);
-            else
-                workers_[target].backlog.push_back(pi);
-        }
-        w.backlog = std::move(keep);
+        std::deque<std::size_t> backlog = std::move(w.backlog);
+        w.backlog.clear();
+        for (const std::size_t pi : backlog)
+            pushElsewhere(pi, wi);
     }
 
     // ------------------------------------------------------ prober side
@@ -698,8 +680,17 @@ class Flock
                     noteSuccess(wi);
                 }
             }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(opts_.probe_interval_ms));
+            // Sleep out the interval, but wake at settlement: agents
+            // notify after every settle, and only the end of the run
+            // (or a mismatch) cuts the wait short.
+            MutexLock lock(mutex_);
+            const Clock::time_point wake =
+                Clock::now()
+                + std::chrono::milliseconds(opts_.probe_interval_ms);
+            while (unsettled_ != 0 && mismatch_.empty()) {
+                if (!cv_.waitUntil(mutex_, wake))
+                    break;
+            }
         }
     }
 

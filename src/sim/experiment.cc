@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "common/logging.hh"
-#include "sim/sweep.hh"
 
 namespace thermctl
 {
@@ -19,12 +18,6 @@ void
 registerMulticoreBackend(MulticoreRunFn fn)
 {
     g_multicore_backend.store(fn, std::memory_order_release);
-}
-
-bool
-multicoreBackendRegistered()
-{
-    return g_multicore_backend.load(std::memory_order_acquire) != nullptr;
 }
 
 bool
@@ -105,19 +98,6 @@ collectRunResult(const Simulator &sim)
             : 0.0;
     }
     return result;
-}
-
-std::vector<RunResult>
-ExperimentRunner::runAll(const std::vector<WorkloadProfile> &profiles,
-                         const DtmPolicySettings &policy,
-                         const SimConfig &base) const
-{
-    if (profiles.empty())
-        return {};
-    SweepSpec spec;
-    spec.protocol(protocol_).base(base).workloads(profiles).policy(
-        policy);
-    return SweepEngine().run(spec).results();
 }
 
 ThermalCategory

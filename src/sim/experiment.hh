@@ -75,9 +75,6 @@ using MulticoreRunFn = RunResult (*)(const SimConfig &,
 /** Install the multicore backend (idempotent; last writer wins). */
 void registerMulticoreBackend(MulticoreRunFn fn);
 
-/** @return true once a multicore backend has been registered. */
-bool multicoreBackendRegistered();
-
 /**
  * @return true when `cfg` needs the multicore engine: more than one
  * core, or a policy kind only the multicore engine implements.
@@ -104,19 +101,6 @@ class ExperimentRunner
     RunResult runOne(const WorkloadProfile &profile,
                      const DtmPolicySettings &policy,
                      const SimConfig &base = {}) const;
-
-    /**
-     * Run every profile under one policy.
-     *
-     * Thin wrapper over the sweep engine (sim/sweep.hh): profiles run
-     * concurrently on the default worker pool (THERMCTL_JOBS), results
-     * come back in profile order, and no disk cache is touched. Build a
-     * SweepSpec directly for multi-policy grids, variants, caching, or
-     * progress telemetry.
-     */
-    std::vector<RunResult> runAll(
-        const std::vector<WorkloadProfile> &profiles,
-        const DtmPolicySettings &policy, const SimConfig &base = {}) const;
 
     const RunProtocol &protocol() const { return protocol_; }
 

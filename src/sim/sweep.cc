@@ -402,25 +402,10 @@ SweepSpec::policy(const DtmPolicySettings &policy, std::string label)
 }
 
 SweepSpec &
-SweepSpec::policies(const std::vector<DtmPolicySettings> &policies)
-{
-    for (const auto &p : policies)
-        policy(p);
-    return *this;
-}
-
-SweepSpec &
 SweepSpec::variant(std::string name,
                    std::function<void(SimConfig &)> apply)
 {
     variants_.push_back(SweepVariant{std::move(name), std::move(apply)});
-    return *this;
-}
-
-SweepSpec &
-SweepSpec::reseedWorkloads(bool on)
-{
-    reseed_ = on;
     return *this;
 }
 
@@ -459,15 +444,12 @@ SweepSpec::points() const
             for (const auto &v : variants) {
                 SweepPoint pt;
                 pt.key = sweepKey(w.name, label, v.name);
-                pt.seed = hashString(pt.key);
                 pt.index = points.size();
                 pt.config = base_;
                 if (v.apply)
                     v.apply(pt.config);
                 pt.config.workload = w;
                 pt.config.policy = policy;
-                if (reseed_)
-                    pt.config.workload.seed = pt.seed;
                 auto [it, fresh] = seen.emplace(pt.key, pt.index);
                 if (!fresh) {
                     fatal("sweep: duplicate grid point key '", pt.key,
@@ -559,6 +541,34 @@ SweepEngine::defaultCacheDir()
     }
     return (std::filesystem::temp_directory_path() / "thermctl-cache")
         .string();
+}
+
+SweepOptions
+SweepEngine::defaultOptions()
+{
+    const char *no_cache = std::getenv("THERMCTL_NO_CACHE");
+    SweepOptions opts;
+    opts.use_cache = !(no_cache && no_cache[0] == '1');
+    return opts;
+}
+
+bool
+parseSweepFlag(const std::string &arg,
+               const std::function<std::string()> &next,
+               SweepOptions &opts)
+{
+    if (arg == "--jobs") {
+        opts.jobs = parseFlag<unsigned>(arg, next());
+        if (opts.jobs < 1)
+            fatal("--jobs must be >= 1");
+    } else if (arg == "--cache-dir") {
+        opts.cache_dir = next();
+    } else if (arg == "--no-cache") {
+        opts.use_cache = false;
+    } else {
+        return false;
+    }
+    return true;
 }
 
 unsigned

@@ -18,16 +18,14 @@
  *    a pure function of its resolved SimConfig + RunProtocol, so runs
  *    are bit-identical across jobs=1/jobs=N and cold/warm cache.
  *  - Stable identity: every point carries a human-readable key
- *    ("workload/policy[/variant]") and a per-point RNG seed derived
- *    from that key (folded into the workload stream when
- *    reseedWorkloads() is requested).
+ *    ("workload/policy[/variant]").
  *  - Safe caching: cache entries are addressed by
  *    sweepConfigDigest() — a canonical hash of every configuration
  *    field plus a code-version salt — and validated on load; corrupt
  *    or mismatched entries degrade to cache misses.
  *
- * See DESIGN.md §9 ("thermctl-sweep") for the grid model, seeding and
- * cache-key derivation, and the threading model.
+ * See DESIGN.md §9 ("thermctl-sweep") for the grid model, the cache-key
+ * derivation, and the threading model.
  */
 
 #ifndef THERMCTL_SIM_SWEEP_HH
@@ -50,9 +48,6 @@ struct SweepPoint
 {
     /** Stable identity: "workload/policy" or "workload/policy/variant". */
     std::string key;
-
-    /** Per-point RNG seed, derived deterministically from the key. */
-    std::uint64_t seed = 0;
 
     /** Position in the grid (results are returned in this order). */
     std::size_t index = 0;
@@ -95,18 +90,10 @@ class SweepSpec
      */
     SweepSpec &policy(const DtmPolicySettings &policy,
                       std::string label = {});
-    SweepSpec &policies(const std::vector<DtmPolicySettings> &policies);
 
     /** Add a named configuration-override variant (third axis). */
     SweepSpec &variant(std::string name,
                        std::function<void(SimConfig &)> apply);
-
-    /**
-     * Fold each point's key-derived seed into its workload RNG stream.
-     * Off by default so grids reproduce the per-profile seeds of the
-     * paper tables; turn on for replicated / perturbed experiments.
-     */
-    SweepSpec &reseedWorkloads(bool on = true);
 
     const RunProtocol &runProtocol() const { return proto_; }
     const SimConfig &baseConfig() const { return base_; }
@@ -116,7 +103,7 @@ class SweepSpec
 
     /**
      * Resolve the grid: apply variant overrides to the base config,
-     * install workload and policy, derive keys and seeds. Order is
+     * install workload and policy, derive keys. Order is
      * workloads (outer) x policies x variants (inner), independent of
      * execution scheduling. Duplicate keys are a fatal configuration
      * error.
@@ -129,7 +116,6 @@ class SweepSpec
     std::vector<WorkloadProfile> workloads_;
     std::vector<std::pair<DtmPolicySettings, std::string>> policies_;
     std::vector<SweepVariant> variants_;
-    bool reseed_ = false;
 };
 
 /** One executed grid point with its provenance and cost. */
@@ -232,10 +218,29 @@ class SweepEngine
      */
     static std::string defaultCacheDir();
 
+    /**
+     * @return the options of a command-line front end before any flag:
+     * the cache on unless THERMCTL_NO_CACHE=1, default jobs and
+     * directory.
+     */
+    static SweepOptions defaultOptions();
+
   private:
     SweepOptions opts_;
     SweepTelemetry telemetry_;
 };
+
+/**
+ * Parse `arg` into `opts` when it is an engine flag: --jobs N (N >= 1),
+ * --cache-dir PATH or --no-cache. `next` fetches the flag's value. Every
+ * binary that runs a SweepEngine takes its engine flags here, so a bad
+ * one fails with the same message everywhere.
+ * @return false when `arg` is not an engine flag.
+ * @throws FatalError on a malformed value.
+ */
+bool parseSweepFlag(const std::string &arg,
+                    const std::function<std::string()> &next,
+                    SweepOptions &opts);
 
 /**
  * Canonical digest of a fully resolved run: every SimConfig field, the

@@ -142,6 +142,51 @@ TEST(CliExitCodes, BenchJobsMustBeAWholeNumber)
     }
 }
 
+TEST(CliExitCodes, EngineFlagsFailAlikeEverywhere)
+{
+    // One parser (parseSweepFlag) reads the engine flags of every
+    // binary that runs a SweepEngine, so a bad one fails the same way.
+    char tmpl[] = "/tmp/thermctl_cli_XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    const std::filesystem::path dir = tmpl;
+    const std::string err = (dir / "stderr").string();
+    struct Case
+    {
+        const char *flags;
+        const char *named; ///< the flag the message must name
+    };
+    for (const Case &c : {Case{"--jobs 0", "--jobs"},
+                          Case{"--jobs 4x", "--jobs"},
+                          Case{"--cache-dir", "--cache-dir"}}) {
+        std::string first;
+        for (const char *bin :
+             {THERMCTL_RUN_BIN, THERMCTL_SERVE_BIN, THERMCTL_BENCH_BIN}) {
+            EXPECT_EQ(runCommand(std::string(bin) + " " + c.flags
+                                 + " >/dev/null 2>" + err),
+                      2)
+                << bin << " " << c.flags;
+            const std::string msg = readFile(err);
+            if (first.empty()) {
+                first = msg;
+                EXPECT_NE(first.find(c.named), std::string::npos)
+                    << bin << " " << c.flags << ": " << first;
+            } else {
+                EXPECT_EQ(msg, first) << bin << " " << c.flags;
+            }
+        }
+    }
+
+    // loadgen's point flags go through the grid parser: --cores 0 is a
+    // usage error before any dial.
+    EXPECT_EQ(runCommand(std::string(THERMCTL_LOADGEN_BIN)
+                         + " --cores 0 --socket /nonexistent >/dev/null 2>"
+                         + err),
+              2);
+    EXPECT_NE(readFile(err).find("--cores"), std::string::npos)
+        << readFile(err);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(CliExitCodes, ExamplesPrintUsageInsteadOfAborting)
 {
     for (const char *bin :

@@ -3,7 +3,8 @@
  * Coordinator (thermctl-flock) tests: option validation, grid
  * expansion order, sharded runs checked bit-identical against direct
  * ExperimentRunner executions, digest coalescing of duplicate points,
- * bounded settlement against dead endpoints, failover from a dead
+ * run() returning at settlement rather than at the next probe, bounded
+ * settlement against dead endpoints, failover from a dead
  * worker to live ones, and injected dispatch/collect faults retried
  * to completion. The full kill -9 / stall soak lives in the chaos
  * harness (tests/chaos) and check.sh cluster-smoke.
@@ -13,6 +14,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -229,6 +231,32 @@ TEST(Coordinator, DuplicateGridPointsCoalesceByDigest)
     EXPECT_LE(dispatched, 3u); // + at most one end-of-grid shadow
 
     server.shutdown();
+}
+
+TEST(Coordinator, RunReturnsAtSettlementNotAtTheNextProbe)
+{
+    Server a(fastServerOptions(7));
+    Server b(fastServerOptions(8));
+    a.start();
+    b.start();
+
+    // The prober pings once at start and then waits out its interval;
+    // settlement must cut that wait short instead of run() returning
+    // at the next probe.
+    CoordinatorOptions opts = fastCoordOptions(
+        {"unix:" + coordSocketPath(7), "unix:" + coordSocketPath(8)});
+    opts.probe_interval_ms = 3000;
+    Coordinator coord(opts);
+    const auto start = std::chrono::steady_clock::now();
+    const CoordinatorReport report =
+        coord.run(fastGrid({"186.crafty"}, {"none", "PI"}));
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+
+    EXPECT_TRUE(report.complete());
+    EXPECT_LT(elapsed, std::chrono::milliseconds(1500));
+
+    a.shutdown();
+    b.shutdown();
 }
 
 TEST(Coordinator, BadPolicyIsTerminalWithoutDispatch)

@@ -168,20 +168,5 @@ TEST(Experiment, ClassifierBoundaries)
     EXPECT_EQ(classifyThermalBehaviour(r), ThermalCategory::Low);
 }
 
-TEST(Experiment, RunAllPreservesOrder)
-{
-    RunProtocol proto;
-    proto.warmup_cycles = 10000;
-    proto.measure_cycles = 20000;
-    ExperimentRunner runner(proto);
-    DtmPolicySettings policy;
-    std::vector<WorkloadProfile> profiles = {specProfile("164.gzip"),
-                                             specProfile("175.vpr")};
-    auto results = runner.runAll(profiles, policy);
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0].benchmark, "164.gzip");
-    EXPECT_EQ(results[1].benchmark, "175.vpr");
-}
-
 } // namespace
 } // namespace thermctl

@@ -107,11 +107,8 @@ TEST(SweepSpec, GridResolutionOrderAndSeeds)
     EXPECT_EQ(points[2].key, "186.crafty/toggle1/a");
     EXPECT_EQ(points[6].key, "301.apsi/none/a");
 
-    for (std::size_t i = 0; i < points.size(); ++i) {
+    for (std::size_t i = 0; i < points.size(); ++i)
         EXPECT_EQ(points[i].index, i);
-        // Seeds are a pure function of the key.
-        EXPECT_EQ(points[i].seed, hashString(points[i].key));
-    }
 
     // The variant override resolved into the point's config.
     EXPECT_EQ(points[1].config.dtm.sample_interval, 500u);
@@ -137,20 +134,6 @@ TEST(SweepSpec, DuplicateKeysAreFatal)
     s.ct_setpoint = 111.2;
     spec.policy(s); // same default label "PID"
     EXPECT_THROW(spec.points(), FatalError);
-}
-
-TEST(SweepSpec, ReseedWorkloadsFoldsKeySeed)
-{
-    SweepSpec plain = smallGrid();
-    SweepSpec reseeded = smallGrid();
-    reseeded.reseedWorkloads();
-    const auto p = plain.points();
-    const auto r = reseeded.points();
-    ASSERT_EQ(p.size(), r.size());
-    for (std::size_t i = 0; i < p.size(); ++i) {
-        EXPECT_EQ(r[i].config.workload.seed, r[i].seed);
-        EXPECT_NE(r[i].config.workload.seed, p[i].config.workload.seed);
-    }
 }
 
 TEST(SweepSerialization, RoundTripsEveryField)

@@ -27,8 +27,8 @@
  *                        microseconds (default 0)
  *     --max-wait-ms N    grace for outstanding replies after the last
  *                        arrival (default 10000)
- *     --json PATH        benchmark record ("" = none; default
- *                        BENCH_serve.json)
+ *     --json PATH        also write the report as JSON to PATH
+ *                        (default: none)
  *
  * Methodology (after the mutated load generator): arrivals are OPEN
  * LOOP — request i is due at a precomputed, seeded exponential arrival
@@ -70,6 +70,7 @@
 #include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "grid_cli.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "sim/config.hh"
@@ -271,12 +272,12 @@ main(int argc, char **argv)
     double duration_s = 10.0;
     std::uint64_t seed = 1;
     std::string mix = "run=8,cache=2";
-    PointSpec knobs;
-    knobs.warmup_cycles = 1000;
-    knobs.measure_cycles = 10000;
+    SweepRequest grid = cli::defaultGrid();
+    grid.point.warmup_cycles = 1000;
+    grid.point.measure_cycles = 10000;
     std::uint64_t fake_work_us = 0;
     std::uint64_t max_wait_ms = 10000;
-    std::string json_path = "BENCH_serve.json";
+    std::string json_path;
 
     try {
         for (int i = 1; i < argc; ++i) {
@@ -305,19 +306,10 @@ main(int argc, char **argv)
                 seed = parseFlag<std::uint64_t>(arg, next());
             } else if (arg == "--mix") {
                 mix = next();
-            } else if (arg == "--bench") {
-                knobs.benchmark = next();
-            } else if (arg == "--policy") {
-                knobs.policy = next();
-            } else if (arg == "--warmup") {
-                knobs.warmup_cycles = parseFlag<std::uint64_t>(arg, next());
-            } else if (arg == "--cycles") {
-                knobs.measure_cycles = parseFlag<std::uint64_t>(arg, next());
-            } else if (arg == "--cores") {
-                const unsigned long v = parseFlag<unsigned long>(arg, next());
-                if (v > kMaxCores)
-                    fatal("--cores must be <= ", kMaxCores);
-                knobs.num_cores = static_cast<std::uint32_t>(v);
+            } else if (arg == "--bench" || arg == "--policy"
+                       || arg == "--warmup" || arg == "--cycles"
+                       || arg == "--cores") {
+                cli::parseGridFlag(arg, next, grid);
             } else if (arg == "--fake-work-us") {
                 fake_work_us = parseFlag<std::uint64_t>(arg, next());
             } else if (arg == "--max-wait-ms") {
@@ -334,6 +326,10 @@ main(int argc, char **argv)
         }
         if (endpoints.empty())
             endpoints = {defaultSocketPath()};
+        const std::vector<PointSpec> cells = grid.points();
+        if (cells.size() != 1)
+            fatal("loadgen: --bench and --policy take one name each");
+        const PointSpec &knobs = cells.front();
 
         double run_w = 0, cache_w = 0, sweep_w = 0;
         parseMix(mix, run_w, cache_w, sweep_w);

@@ -41,13 +41,11 @@
  * path. A sweep's point and cache-hit counts go to stderr.
  */
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "common/flags.hh"
 #include "common/logging.hh"
 #include "grid_cli.hh"
 #include "multicore/multicore_sim.hh"
@@ -87,9 +85,7 @@ main(int argc, char **argv)
     SimConfig base;
     std::string csv_path;
     std::string temps_path;
-    SweepOptions sweep_opts;
-    const char *no_cache_env = std::getenv("THERMCTL_NO_CACHE");
-    sweep_opts.use_cache = !(no_cache_env && no_cache_env[0] == '1');
+    SweepOptions sweep_opts = SweepEngine::defaultOptions();
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -99,19 +95,12 @@ main(int argc, char **argv)
             return argv[++i];
         };
         try {
-            if (cli::parseGridFlag(arg, next, grid))
+            if (cli::parseGridFlag(arg, next, grid)
+                || parseSweepFlag(arg, next, sweep_opts)) {
                 continue;
+            }
             if (arg == "--trace") {
                 base.trace_path = next();
-            } else if (arg == "--jobs") {
-                const long v = parseFlag<long>(arg, next());
-                if (v < 1)
-                    fatal("--jobs must be >= 1");
-                sweep_opts.jobs = static_cast<unsigned>(v);
-            } else if (arg == "--cache-dir") {
-                sweep_opts.cache_dir = next();
-            } else if (arg == "--no-cache") {
-                sweep_opts.use_cache = false;
             } else if (arg == "--csv") {
                 csv_path = next();
             } else if (arg == "--trace-temps") {

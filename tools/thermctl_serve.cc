@@ -45,7 +45,6 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -103,8 +102,7 @@ main(int argc, char **argv)
 {
     ServerOptions opts;
     opts.unix_path = defaultSocketPath();
-    const char *no_cache_env = std::getenv("THERMCTL_NO_CACHE");
-    opts.sweep.use_cache = !(no_cache_env && no_cache_env[0] == '1');
+    opts.sweep = SweepEngine::defaultOptions();
 
     try {
         for (int i = 1; i < argc; ++i) {
@@ -114,20 +112,13 @@ main(int argc, char **argv)
                     fatal("missing value for ", arg);
                 return argv[++i];
             };
+            if (parseSweepFlag(arg, next, opts.sweep))
+                continue;
             if (arg == "--socket") {
                 opts.unix_path = next();
             } else if (arg == "--tcp") {
                 opts.tcp = true;
                 opts.tcp_port = parseFlag<int>(arg, next());
-            } else if (arg == "--jobs") {
-                const long v = parseFlag<long>(arg, next());
-                if (v < 1)
-                    fatal("--jobs must be >= 1");
-                opts.sweep.jobs = static_cast<unsigned>(v);
-            } else if (arg == "--cache-dir") {
-                opts.sweep.cache_dir = next();
-            } else if (arg == "--no-cache") {
-                opts.sweep.use_cache = false;
             } else if (arg == "--max-queue") {
                 const long v = parseFlag<long>(arg, next());
                 if (v < 1)
