@@ -73,23 +73,18 @@ Session::Session(int argc, char **argv, const std::string &title,
     engine_ = SweepEngine(opts);
 
     if (!quiet_) {
-        engine_.setTelemetry(SweepTelemetry{
-            .on_run_start = nullptr,
-            .on_run_done =
-                [](const SweepOutcome &oc, std::size_t grid_size) {
-                    if (oc.cache_hit) {
-                        std::fprintf(stderr,
-                                     "[%4zu/%zu] %-40s (cached)\n",
-                                     oc.point.index + 1, grid_size,
-                                     oc.point.key.c_str());
-                    } else {
-                        std::fprintf(stderr, "[%4zu/%zu] %-40s %.2fs\n",
-                                     oc.point.index + 1, grid_size,
-                                     oc.point.key.c_str(),
-                                     oc.wall_seconds);
-                    }
-                },
-        });
+        telemetry_.on_run_done = [](const SweepOutcome &oc,
+                                    std::size_t grid_size) {
+            if (oc.cache_hit) {
+                std::fprintf(stderr, "[%4zu/%zu] %-40s (cached)\n",
+                             oc.point.index + 1, grid_size,
+                             oc.point.key.c_str());
+            } else {
+                std::fprintf(stderr, "[%4zu/%zu] %-40s %.2fs\n",
+                             oc.point.index + 1, grid_size,
+                             oc.point.key.c_str(), oc.wall_seconds);
+            }
+        };
     }
     printTitle(title, paper_ref);
 }
@@ -105,7 +100,7 @@ Session::spec() const
 SweepResults
 Session::run(const SweepSpec &spec) const
 {
-    SweepResults results = engine_.run(spec);
+    SweepResults results = engine_.run(spec, telemetry_);
     if (!quiet_) {
         std::fprintf(
             stderr,

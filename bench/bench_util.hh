@@ -45,9 +45,6 @@ class Session
     /** @return true under THERMCTL_FAST=1 (the shortened protocol). */
     bool fast() const { return fast_; }
 
-    /** The cache-backed engine executing this session's sweeps. */
-    const SweepEngine &engine() const { return engine_; }
-
     /** @return a fresh spec with the session protocol pre-installed. */
     SweepSpec spec() const;
 
@@ -72,6 +69,7 @@ class Session
   private:
     RunProtocol proto_;
     SweepEngine engine_;
+    SweepTelemetry telemetry_; ///< progress lines; empty under --quiet
     bool fast_ = false;
     bool quiet_ = false;
 };

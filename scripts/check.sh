@@ -36,8 +36,9 @@
 #                  build) under concurrent clients — a duplicate pair
 #                  must coalesce, client output (one point and a served
 #                  two-by-two sweep) must be bit-identical to a direct
-#                  thermctl_run of the same grid, and SIGTERM must drain
-#                  cleanly
+#                  thermctl_run of the same grid, toggle1 on two cores
+#                  must be a bad request costing no simulation, and
+#                  SIGTERM must drain cleanly
 #   multicore      multicore smoke (ASan+UBSan build): a 4-core
 #                  budget-capped percore-PID run under the sanitizers,
 #                  plus a serve round-trip of the same multicore config
@@ -225,7 +226,8 @@ if want serve; then
     # default two, the third request waits for a worker and, when it is
     # a twin, arrives after the first run has published. The batch
     # window holds the first dispatch briefly, and the sched.batch stall
-    # keeps each dispatched group in flight for 2 s more, so a twin
+    # (it fires once per batch, before the batch's one engine call)
+    # keeps each dispatched batch in flight for 2 s more, so a twin
     # delayed by slow (ASan) client start-up still coalesces.
     THERMCTL_FAST=1 "${base}/asan/tools/thermctl_serve" \
         --socket "${smoke_sock}" --cache-dir "${smoke_dir}/cache" \
@@ -272,6 +274,18 @@ if want serve; then
         --policy none,PI --warmup 2000 --cycles 50000 --no-cache \
         >"${smoke_dir}/sweep_direct.out"
     cmp "${smoke_dir}/sweep.out" "${smoke_dir}/sweep_direct.out"
+
+    # A multicore point under a policy the multicore engine does not run
+    # is a bad request (exit 3) that costs no simulation.
+    sims() { smoke_client --stats | awk '/^points_simulated/ {print $NF}'; }
+    sims_before="$(sims)"
+    bad_rc=0
+    smoke_client --cores 2 --policy toggle1 2>"${smoke_dir}/bad.err" \
+        || bad_rc=$?
+    [ "${bad_rc}" -eq 3 ] && grep -q bad-request "${smoke_dir}/bad.err" \
+        && [ "$(sims)" = "${sims_before}" ] || {
+        echo "serve smoke: toggle1 on 2 cores exited ${bad_rc}" >&2
+        cat "${smoke_dir}/bad.err" >&2; exit 1; }
 
     kill -TERM "${serve_pid}"
     if ! wait "${serve_pid}"; then

@@ -33,7 +33,6 @@ class BranchTargetBuffer
     void update(Addr pc, Addr target);
 
     std::size_t entries() const { return sets_.size() * ways_; }
-    std::size_t ways() const { return ways_; }
 
   private:
     struct Entry

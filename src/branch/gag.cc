@@ -8,7 +8,6 @@ namespace thermctl
 GAgPredictor::GAgPredictor(std::size_t entries, unsigned history_bits)
     : table_(entries, Counter2(1)),
       index_mask_(entries - 1),
-      history_bits_(history_bits),
       history_mask_((history_bits >= 32) ? 0xffffffffu
                                          : ((1u << history_bits) - 1))
 {

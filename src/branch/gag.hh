@@ -34,13 +34,11 @@ class GAgPredictor
     /** Train the counter selected by the given history value. */
     void updateWith(std::uint32_t history, bool taken);
 
-    unsigned historyBits() const { return history_bits_; }
     std::uint32_t historyMask() const { return history_mask_; }
 
   private:
     std::vector<Counter2> table_;
     std::size_t index_mask_;
-    unsigned history_bits_;
     std::uint32_t history_mask_;
 };
 

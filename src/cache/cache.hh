@@ -80,8 +80,6 @@ class Cache
     const CacheConfig &config() const { return cfg_; }
     const CacheStats &stats() const { return stats_; }
 
-    std::uint32_t numSets() const { return num_sets_; }
-
   private:
     struct Line
     {

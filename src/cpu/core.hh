@@ -79,8 +79,6 @@ class Core
      */
     void setFetchEnabled(bool enabled) { fetch_enabled_ = enabled; }
 
-    bool fetchEnabled() const { return fetch_enabled_; }
-
     /**
      * Fetch-throttling actuator (paper Section 2.1): fetch happens every
      * cycle, but at most `limit` instructions are fetched (0 = no limit).

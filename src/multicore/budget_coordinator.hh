@@ -50,7 +50,6 @@ class BudgetCoordinator
     std::vector<Watts> split(const std::vector<Watts> &demand,
                              const std::vector<Celsius> &hottest) const;
 
-    Watts chipBudget() const { return budget_; }
     BudgetPolicy policy() const { return policy_; }
 
   private:

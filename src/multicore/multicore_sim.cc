@@ -20,6 +20,7 @@ std::unique_ptr<CoreController>
 makeController(const SimConfig &cfg, const FopdtPlant &plant)
 {
     const DtmPolicySettings &s = cfg.policy;
+    requireMulticoreEnginePolicy(s.kind);
     const Seconds sample_dt =
         static_cast<double>(cfg.dtm.sample_interval)
         * cfg.power.tech.cycleSeconds();
@@ -56,9 +57,8 @@ makeController(const SimConfig &cfg, const FopdtPlant &plant)
         return std::make_unique<AdjustableIntegralController>(ac);
       }
       default:
-        fatal("policy '", dtmPolicyKindName(s.kind),
-              "' is not supported by the multicore engine (supported: "
-              "none, P, PI, PID, percore-PID, adj-integral)");
+        panic("multicore: no controller for policy '",
+              dtmPolicyKindName(s.kind), "'");
     }
 }
 

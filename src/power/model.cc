@@ -56,18 +56,6 @@ structureName(StructureId id)
     }
 }
 
-const char *
-clockGatingStyleName(ClockGatingStyle style)
-{
-    switch (style) {
-      case ClockGatingStyle::Cc0: return "cc0";
-      case ClockGatingStyle::Cc1: return "cc1";
-      case ClockGatingStyle::Cc2: return "cc2";
-      case ClockGatingStyle::Cc3: return "cc3";
-      default: return "?";
-    }
-}
-
 PowerModel::PowerModel(const PowerConfig &cfg, const CpuConfig &cpu,
                        const MemoryHierarchyConfig &mem)
     : cfg_(cfg), cpu_(cpu), mem_(mem)

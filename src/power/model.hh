@@ -32,9 +32,6 @@ enum class ClockGatingStyle
     Cc3, ///< linear with port usage, idle floor of 10% of peak
 };
 
-/** @return printable gating-style name. */
-const char *clockGatingStyleName(ClockGatingStyle style);
-
 /** Power-model configuration. */
 struct PowerConfig
 {

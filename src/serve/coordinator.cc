@@ -719,7 +719,7 @@ Coordinator::run(const std::vector<PointSpec> &grid)
     std::unordered_map<std::uint64_t, std::size_t> by_digest;
     for (std::size_t i = 0; i < grid.size(); ++i) {
         try {
-            const ResolvedPoint pt = resolvePoint(grid[i], opts_.base);
+            const SweepPoint pt = resolvePoint(grid[i], opts_.base);
             const auto it = by_digest.find(pt.digest);
             if (it != by_digest.end()) {
                 rep_of[i] = it->second;

@@ -19,7 +19,7 @@ using Clock = std::chrono::steady_clock;
 /** One admitted point from submit() until its promise is fulfilled. */
 struct Scheduler::Pending
 {
-    ResolvedPoint point;
+    SweepPoint point;
     Clock::time_point enqueued;
     Clock::time_point deadline; ///< meaningful only when has_deadline
     bool has_deadline = false;
@@ -33,19 +33,13 @@ struct Scheduler::Pending
     Clock::time_point dispatch_started;
 };
 
-ResolvedPoint
+SweepPoint
 resolvePoint(const PointSpec &spec, const SimConfig &base)
 {
-    ResolvedPoint pt;
+    SweepPoint pt;
     pt.config = base;
     pt.config.workload = specProfile(spec.benchmark);
-    if (!parseDtmPolicyKind(spec.policy, pt.config.policy.kind)) {
-        std::string all;
-        for (const auto &n : dtmPolicyNames())
-            all += all.empty() ? n : "|" + n;
-        fatal("unknown policy '", spec.policy, "' (expected one of ",
-              all, ")");
-    }
+    pt.config.policy.kind = requireDtmPolicyKind(spec.policy);
     if (spec.ct_setpoint != 0.0) {
         pt.config.policy.ct_setpoint = spec.ct_setpoint;
         pt.config.policy.ct_range_low = spec.ct_setpoint - 0.2;
@@ -53,8 +47,7 @@ resolvePoint(const PointSpec &spec, const SimConfig &base)
     if (spec.sample_interval != 0)
         pt.config.dtm.sample_interval = spec.sample_interval;
     // Multicore knobs: zero keeps the server-side config default. The
-    // values were range-checked at decode time (multicoreKnobsValid),
-    // so resolution never fatals on client input.
+    // values were range-checked at decode time (multicoreKnobsValid).
     if (spec.num_cores != 0)
         pt.config.multicore.num_cores = spec.num_cores;
     if (spec.coupling_r != 0.0)
@@ -65,6 +58,10 @@ resolvePoint(const PointSpec &spec, const SimConfig &base)
         pt.config.multicore.budget_policy =
             static_cast<BudgetPolicy>(spec.budget_policy);
     }
+    if (needsMulticoreEngine(pt.config))
+        requireMulticoreEnginePolicy(pt.config.policy.kind);
+    if (spec.measure_cycles < 1)
+        fatal("measured cycles must be >= 1");
     pt.proto.warmup_cycles = spec.warmup_cycles;
     pt.proto.measure_cycles = spec.measure_cycles;
     pt.key = sweepKey(pt.config.workload.name,
@@ -76,17 +73,14 @@ resolvePoint(const PointSpec &spec, const SimConfig &base)
 namespace
 {
 
-/**
- * Batch-grouping digest: everything the full digest covers except the
- * workload. Points sharing it differ only in workload, so one
- * SweepSpec (base + workload list) reproduces each of them exactly.
- */
-std::uint64_t
-groupDigest(const ResolvedPoint &pt)
+/** @return an outcome carrying a typed error. */
+Scheduler::Outcome
+failure(ServeError code, std::string message)
 {
-    SimConfig neutral = pt.config;
-    neutral.workload = WorkloadProfile{};
-    return sweepConfigDigest(neutral, pt.proto);
+    Scheduler::Outcome oc;
+    oc.error = code;
+    oc.message = std::move(message);
+    return oc;
 }
 
 /** @return an immediately resolved ticket carrying a typed error. */
@@ -94,9 +88,8 @@ Scheduler::Ticket
 rejectedTicket(ServeError code, std::string message,
                std::uint32_t retry_after_ms = 0)
 {
-    auto outcome = std::make_shared<Scheduler::Outcome>();
-    outcome->error = code;
-    outcome->message = std::move(message);
+    auto outcome = std::make_shared<Scheduler::Outcome>(
+        failure(code, std::move(message)));
     outcome->retry_after_ms = retry_after_ms;
     std::promise<Scheduler::OutcomePtr> promise;
     promise.set_value(std::move(outcome));
@@ -129,7 +122,7 @@ Scheduler::~Scheduler()
 }
 
 Scheduler::Ticket
-Scheduler::submit(const ResolvedPoint &point, std::uint64_t deadline_ms)
+Scheduler::submit(const SweepPoint &point, std::uint64_t deadline_ms)
 {
     MutexLock lock(mutex_);
     counters_.submitted++;
@@ -284,8 +277,8 @@ Scheduler::dispatchLoop()
         }
 
         // Batch window: give concurrent clients a moment to land their
-        // requests so duplicates coalesce and compatible points share
-        // one engine invocation.
+        // requests so duplicates coalesce and the points share one
+        // engine invocation.
         if (opts_.batch_window_ms > 0 && !stopping_) {
             const auto until =
                 Clock::now()
@@ -328,6 +321,8 @@ Scheduler::finish(const std::shared_ptr<Pending> &p, Outcome outcome)
             inflight_.erase(it);
         }
         dispatching_--;
+        if (outcome.error == ServeError::Internal)
+            counters_.failed++;
         if (deliver && ok) {
             latency_ms_.add(ms);
             latency_hist_ms_.add(ms);
@@ -404,58 +399,50 @@ Scheduler::runBatch(std::vector<std::shared_ptr<Pending>> batch)
                 MutexLock lock(mutex_);
                 counters_.rejected_deadline++;
             }
-            Outcome oc;
-            oc.error = ServeError::DeadlineExceeded;
-            oc.message = "deadline expired before dispatch";
-            finish(p, std::move(oc));
+            finish(p, failure(ServeError::DeadlineExceeded,
+                              "deadline expired before dispatch"));
         } else {
             live.push_back(std::move(p));
         }
     }
 
-    // Group points that differ only in workload into shared grids.
-    std::unordered_map<std::uint64_t, std::vector<std::size_t>> groups;
-    for (std::size_t i = 0; i < live.size(); ++i)
-        groups[groupDigest(live[i]->point)].push_back(i);
+    if (live.empty())
+        return;
 
-    for (const auto &[digest, members] : groups) {
-        (void)digest;
-        const auto fp = THERMCTL_FAULT_POINT("sched.batch");
-        if (fp.stall()) {
-            // A wedged engine invocation: the watchdog (when enabled)
-            // must fail these points rather than hang the drain.
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(fp.stall_ms));
-        }
-        const ResolvedPoint &rep = live[members.front()]->point;
-        SweepSpec spec;
-        spec.protocol(rep.proto).base(rep.config);
-        for (std::size_t i : members)
-            spec.workload(live[i]->point.config.workload);
+    const auto fp = THERMCTL_FAULT_POINT("sched.batch");
+    if (fp.stall()) {
+        // A wedged engine invocation: the watchdog (when enabled) must
+        // fail these points rather than hang the drain.
+        std::this_thread::sleep_for(std::chrono::milliseconds(fp.stall_ms));
+    }
 
-        try {
-            const SweepResults results = engine_.run(spec);
-            // points() iterates workloads in insertion order with the
-            // single (base) policy, so outcomes align with `members`.
-            const auto &outcomes = results.outcomes();
-            for (std::size_t j = 0; j < members.size(); ++j) {
-                Outcome oc;
-                oc.result = outcomes[j].result;
-                oc.cache_hit = outcomes[j].cache_hit;
-                finish(live[members[j]], std::move(oc));
-            }
-        } catch (const std::exception &e) {
-            {
-                MutexLock lock(mutex_);
-                counters_.failed += members.size();
-            }
-            for (std::size_t i : members) {
-                Outcome oc;
-                oc.error = ServeError::Internal;
-                oc.message = e.what();
-                finish(live[i], std::move(oc));
-            }
-        }
+    std::vector<SweepPoint> points;
+    points.reserve(live.size());
+    for (const auto &p : live)
+        points.push_back(p->point);
+
+    // The engine numbers the points by position, so oc.point.index is
+    // the point's slot in `live`. Telemetry is serialized, so `reported`
+    // needs no lock of its own.
+    std::vector<bool> reported(live.size(), false);
+    SweepTelemetry telemetry;
+    telemetry.on_run_done = [&](const SweepOutcome &oc, std::size_t) {
+        Outcome out;
+        if (!oc.error.empty())
+            out = failure(ServeError::Internal, oc.point.key + ": " + oc.error);
+        out.result = oc.result; // default-constructed when it failed
+        out.cache_hit = oc.cache_hit;
+        reported[oc.point.index] = true;
+        finish(live[oc.point.index], std::move(out));
+    };
+    try {
+        (void)engine_.run(std::move(points), telemetry);
+    } catch (const std::exception &e) {
+        // A failed point already finished with its own error. Only a
+        // failure outside every point leaves some unreported.
+        for (std::size_t i = 0; i < live.size(); ++i)
+            if (!reported[i])
+                finish(live[i], failure(ServeError::Internal, e.what()));
     }
 }
 

@@ -3,17 +3,17 @@
  * Request scheduler for thermctl-serve: admission control, single-flight
  * coalescing, and batched dispatch onto the SweepEngine.
  *
- * Every request resolves to a ResolvedPoint whose identity is the sweep
+ * Every request resolves to a SweepPoint whose identity is the sweep
  * cache digest (sweepConfigDigest): two requests the simulator cannot
  * distinguish share a digest. The scheduler exploits that three ways:
  *
  *  - Single-flight: a request whose digest is already queued or running
  *    attaches to the existing run's future instead of enqueueing a
  *    duplicate — N identical concurrent requests cost one simulation.
- *  - Batching: a dispatcher drains the queue in one sweep, groups
- *    points that differ only in workload into shared SweepSpec grids,
- *    and executes each group as one SweepEngine invocation so the
- *    engine's worker pool parallelizes across the batch.
+ *  - Batching: a dispatcher drains the queue in one sweep and hands the
+ *    batch to one SweepEngine::run() call, so the engine's worker pool
+ *    parallelizes across it. Each point finishes when the engine reports
+ *    it, so a cache hit never waits for its batch's simulations.
  *  - Bounded queue: submit() past `max_queue` undispatched points is
  *    rejected immediately with Overloaded — the server never queues
  *    unboundedly and never blocks admission on simulation progress.
@@ -43,23 +43,16 @@
 namespace thermctl::serve
 {
 
-/**
- * A fully resolved simulation request: configuration, protocol, and the
- * content digest that names it.
- */
-struct ResolvedPoint
-{
-    std::string key; ///< "benchmark/policy", for telemetry
-    SimConfig config;
-    RunProtocol proto;
-    std::uint64_t digest = 0; ///< sweepConfigDigest(config, proto)
-};
+/** The engine's resolved point, under the name the perf harness uses. */
+using ResolvedPoint = SweepPoint;
 
 /**
  * Resolve a wire PointSpec against the server's base configuration.
- * Throws FatalError for unknown benchmark or policy names.
+ * Throws FatalError for unknown benchmark or policy names, zero measured
+ * cycles, and a multicore point under a policy the multicore engine
+ * does not run.
  */
-ResolvedPoint resolvePoint(const PointSpec &spec, const SimConfig &base);
+SweepPoint resolvePoint(const PointSpec &spec, const SimConfig &base);
 
 /** Counter snapshot (see protocol.hh StatsReply for field meanings). */
 struct SchedulerStats
@@ -150,7 +143,7 @@ class Scheduler
      * ticket (Overloaded when the queue is full, Draining after
      * beginDrain()).
      */
-    Ticket submit(const ResolvedPoint &point, std::uint64_t deadline_ms)
+    Ticket submit(const SweepPoint &point, std::uint64_t deadline_ms)
         THERMCTL_EXCLUDES(mutex_);
 
     /**
@@ -170,8 +163,6 @@ class Scheduler
     void stop() THERMCTL_EXCLUDES(mutex_);
 
     SchedulerStats stats() const THERMCTL_EXCLUDES(mutex_);
-
-    const Options &options() const { return opts_; }
 
   private:
     struct Pending;

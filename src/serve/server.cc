@@ -772,7 +772,7 @@ Server::executeFrame(const Work &work)
             return badRequest("undecodable RunRequest payload");
         RunReply reply;
         try {
-            const ResolvedPoint pt = resolvePoint(req.point, opts_.base);
+            const SweepPoint pt = resolvePoint(req.point, opts_.base);
             reply.point =
                 awaitTicket(sched_->submit(pt, req.deadline_ms));
         } catch (const FatalError &e) {
@@ -791,7 +791,7 @@ Server::executeFrame(const Work &work)
             return badRequest("undecodable or empty SweepRequest payload");
         }
         // Submit the whole grid before waiting on any point so the
-        // scheduler can batch compatible points and coalesce
+        // scheduler can batch the points and coalesce
         // duplicates across the grid.
         struct Slot
         {
@@ -805,7 +805,7 @@ Server::executeFrame(const Work &work)
         for (const PointSpec &spec : cells) {
             Slot slot;
             try {
-                const ResolvedPoint pt = resolvePoint(spec, opts_.base);
+                const SweepPoint pt = resolvePoint(spec, opts_.base);
                 slot.ticket = sched_->submit(pt, req.deadline_ms);
                 slot.resolved = true;
             } catch (const FatalError &e) {
@@ -837,16 +837,12 @@ Server::executeFrame(const Work &work)
             return badRequest("undecodable CacheQueryRequest payload");
         CacheQueryReply reply;
         try {
-            const ResolvedPoint pt = resolvePoint(req.point, opts_.base);
+            const SweepPoint pt = resolvePoint(req.point, opts_.base);
             reply.digest = pt.digest;
             if (opts_.sweep.use_cache) {
-                const std::string dir =
-                    opts_.sweep.cache_dir.empty()
-                        ? SweepEngine::defaultCacheDir()
-                        : opts_.sweep.cache_dir;
                 RunResult ignored;
-                reply.cached =
-                    sweepCacheLookup(dir, pt.digest, ignored);
+                reply.cached = sweepCacheLookup(
+                    opts_.sweep.effectiveCacheDir(), pt.digest, ignored);
             }
         } catch (const FatalError &e) {
             return badRequest(e.what());

@@ -176,8 +176,6 @@ class Server
     /** Scheduler access for tests (pauseDispatch / resumeDispatch). */
     Scheduler &scheduler() { return *sched_; }
 
-    const ServerOptions &options() const { return opts_; }
-
   private:
     using Clock = std::chrono::steady_clock;
 

@@ -65,6 +65,13 @@ isMulticorePolicy(DtmPolicyKind kind)
 namespace
 {
 
+/** The kinds the multicore engine runs. */
+constexpr std::array<DtmPolicyKind, 6> kMulticoreEnginePolicies = {
+    DtmPolicyKind::None,       DtmPolicyKind::P,
+    DtmPolicyKind::PI,         DtmPolicyKind::PID,
+    DtmPolicyKind::PerCorePid, DtmPolicyKind::AdjIntegral,
+};
+
 /** The kinds a user can name on the CLI or over the wire. */
 constexpr std::array<DtmPolicyKind, 13> kNamedPolicies = {
     DtmPolicyKind::None,        DtmPolicyKind::Toggle1,
@@ -78,14 +85,18 @@ constexpr std::array<DtmPolicyKind, 13> kNamedPolicies = {
 
 } // namespace
 
-std::vector<std::string>
-dtmPolicyNames()
+void
+requireMulticoreEnginePolicy(DtmPolicyKind kind)
 {
-    std::vector<std::string> names;
-    names.reserve(kNamedPolicies.size());
-    for (DtmPolicyKind kind : kNamedPolicies)
-        names.emplace_back(dtmPolicyKindName(kind));
-    return names;
+    const auto &runs = kMulticoreEnginePolicies;
+    if (std::find(runs.begin(), runs.end(), kind) != runs.end())
+        return;
+    std::string all;
+    for (DtmPolicyKind k : runs)
+        all += std::string(all.empty() ? "" : ", ") + dtmPolicyKindName(k);
+    fatal("policy '", dtmPolicyKindName(kind),
+          "' is not supported by the multicore engine (supported: ", all,
+          ")");
 }
 
 bool
@@ -98,6 +109,18 @@ parseDtmPolicyKind(const std::string &name, DtmPolicyKind &out)
         }
     }
     return false;
+}
+
+DtmPolicyKind
+requireDtmPolicyKind(const std::string &name)
+{
+    DtmPolicyKind kind;
+    if (parseDtmPolicyKind(name, kind))
+        return kind;
+    std::string all;
+    for (DtmPolicyKind k : kNamedPolicies)
+        all += std::string(all.empty() ? "" : "|") + dtmPolicyKindName(k);
+    fatal("unknown policy '", name, "' (expected one of ", all, ")");
 }
 
 FopdtPlant

@@ -23,14 +23,14 @@
 namespace thermctl
 {
 
-/** Every policy name accepted by parseDtmPolicyKind (CLI/wire set). */
-std::vector<std::string> dtmPolicyNames();
-
 /**
  * Inverse of dtmPolicyKindName for the user-selectable policies.
  * @return false when `name` is not a known policy name.
  */
 bool parseDtmPolicyKind(const std::string &name, DtmPolicyKind &out);
+
+/** parseDtmPolicyKind, fatal (listing every name) on an unknown name. */
+DtmPolicyKind requireDtmPolicyKind(const std::string &name);
 
 /**
  * Inverse of budgetPolicyName.
@@ -44,6 +44,12 @@ bool parseBudgetPolicy(const std::string &name, BudgetPolicy &out);
  * experiment runner dispatches such configs to the multicore backend.
  */
 bool isMulticorePolicy(DtmPolicyKind kind);
+
+/**
+ * Fatal unless the multicore engine runs `kind`. Holds the one list of
+ * those kinds, read by serve::resolvePoint and multicore::makeController.
+ */
+void requireMulticoreEnginePolicy(DtmPolicyKind kind);
 
 /**
  * Derive the FOPDT plant seen by the DTM controller.

@@ -9,6 +9,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "check/invariants.hh"
 #include "common/flags.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
@@ -450,6 +451,8 @@ SweepSpec::points() const
                     v.apply(pt.config);
                 pt.config.workload = w;
                 pt.config.policy = policy;
+                pt.proto = proto_;
+                pt.digest = sweepConfigDigest(pt.config, pt.proto);
                 auto [it, fresh] = seen.emplace(pt.key, pt.index);
                 if (!fresh) {
                     fatal("sweep: duplicate grid point key '", pt.key,
@@ -504,12 +507,6 @@ SweepResults::at(std::string_view workload, std::string_view policy,
 
 SweepEngine::SweepEngine(const SweepOptions &opts) : opts_(opts) {}
 
-void
-SweepEngine::setTelemetry(SweepTelemetry telemetry)
-{
-    telemetry_ = std::move(telemetry);
-}
-
 unsigned
 SweepEngine::defaultJobs()
 {
@@ -529,8 +526,10 @@ SweepEngine::defaultJobs()
 }
 
 std::string
-SweepEngine::defaultCacheDir()
+SweepOptions::effectiveCacheDir() const
 {
+    if (!cache_dir.empty())
+        return cache_dir;
     if (const char *env = std::getenv("THERMCTL_CACHE_DIR"))
         return env;
     if (const char *xdg = std::getenv("XDG_CACHE_HOME"))
@@ -563,6 +562,8 @@ parseSweepFlag(const std::string &arg,
             fatal("--jobs must be >= 1");
     } else if (arg == "--cache-dir") {
         opts.cache_dir = next();
+        if (opts.cache_dir.empty())
+            fatal("--cache-dir must not be empty");
     } else if (arg == "--no-cache") {
         opts.use_cache = false;
     } else {
@@ -582,13 +583,11 @@ SweepEngine::effectiveJobs(std::size_t grid_size) const
 }
 
 SweepResults
-SweepEngine::run(const SweepSpec &spec) const
+SweepEngine::run(std::vector<SweepPoint> points,
+                 const SweepTelemetry &telemetry) const
 {
     using Clock = std::chrono::steady_clock;
     const auto t0 = Clock::now();
-
-    std::vector<SweepPoint> points = spec.points();
-    const RunProtocol proto = spec.runProtocol();
     const std::size_t n = points.size();
 
     SweepResults out;
@@ -599,8 +598,7 @@ SweepEngine::run(const SweepSpec &spec) const
     std::filesystem::path cache_root;
     bool caching = opts_.use_cache;
     if (caching) {
-        cache_root = opts_.cache_dir.empty() ? defaultCacheDir()
-                                             : opts_.cache_dir;
+        cache_root = opts_.effectiveCacheDir();
         std::error_code ec;
         std::filesystem::create_directories(cache_root, ec);
         if (ec) {
@@ -615,41 +613,50 @@ SweepEngine::run(const SweepSpec &spec) const
     parallelFor(
         n,
         [&](std::size_t i) {
-            SweepPoint &pt = points[i];
-            if (telemetry_.on_run_start) {
+            SweepOutcome &oc = out.outcomes_[i];
+            oc.point = std::move(points[i]);
+            const SweepPoint &pt = oc.point;
+            oc.point.index = i;
+            THERMCTL_INVARIANT({
+                if (sweepConfigDigest(pt.config, pt.proto) != pt.digest)
+                    panic("sweep: point '", pt.key,
+                          "' carries a digest its config does not have");
+            });
+            if (telemetry.on_run_start) {
                 MutexLock lock(mutex);
-                telemetry_.on_run_start(pt, n);
+                telemetry.on_run_start(pt, n);
             }
             const auto p0 = Clock::now();
-            SweepOutcome &oc = out.outcomes_[i];
-            const std::uint64_t digest = sweepConfigDigest(pt.config, proto);
-            std::filesystem::path entry;
-            bool hit = false;
-            if (caching) {
-                entry = cache_root / (hashHex(digest) + ".run");
-                hit = loadCacheEntry(entry, digest, oc.result,
-                                     /*heal=*/true);
+            const std::filesystem::path entry =
+                caching ? cache_root / (hashHex(pt.digest) + ".run")
+                        : std::filesystem::path();
+            try {
+                oc.cache_hit = caching
+                               && loadCacheEntry(entry, pt.digest,
+                                                 oc.result, /*heal=*/true);
+                if (!oc.cache_hit) {
+                    oc.result = ExperimentRunner(pt.proto).runOne(
+                        pt.config.workload, pt.config.policy, pt.config);
+                    if (caching)
+                        storeCacheEntry(entry, pt.digest, oc.result);
+                }
+            } catch (const std::exception &e) {
+                oc.error = e.what();
             }
-            if (!hit) {
-                ExperimentRunner runner(proto);
-                oc.result = runner.runOne(pt.config.workload,
-                                          pt.config.policy, pt.config);
-                if (caching)
-                    storeCacheEntry(entry, digest, oc.result);
-            }
-            oc.cache_hit = hit;
             oc.wall_seconds =
                 std::chrono::duration<double>(Clock::now() - p0).count();
-            oc.point = std::move(pt);
-            if (telemetry_.on_run_done) {
+            if (telemetry.on_run_done) {
                 MutexLock lock(mutex);
-                telemetry_.on_run_done(oc, n);
+                telemetry.on_run_done(oc, n);
             }
         },
         effectiveJobs(n));
 
-    for (const auto &oc : out.outcomes_)
+    for (const auto &oc : out.outcomes_) {
+        if (!oc.error.empty())
+            fatal("sweep: point '", oc.point.key, "' failed: ", oc.error);
         out.cache_hits_ += oc.cache_hit ? 1 : 0;
+    }
     out.wall_seconds_ =
         std::chrono::duration<double>(Clock::now() - t0).count();
     return out;

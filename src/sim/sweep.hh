@@ -7,13 +7,14 @@
  * DTM policies x ablation variants — and every table/figure binary used
  * to walk its slice of that grid serially, re-simulating the shared
  * no-DTM characterization runs each time. SweepSpec describes a grid
- * declaratively; SweepEngine executes it on the parallelFor pool
- * (common/parallel.hh) and memoizes each point on disk keyed by a
- * digest of the fully resolved configuration, so results are reused
- * across binaries and across invocations.
+ * declaratively and resolves it into SweepPoints (serve::resolvePoint
+ * resolves served ones); SweepEngine executes resolved points on the
+ * parallelFor pool (common/parallel.hh) and memoizes each point on disk
+ * keyed by its digest, so results are reused across binaries and
+ * across invocations.
  *
  * Guarantees:
- *  - Deterministic results: the result vector is ordered by grid
+ *  - Deterministic results: the result vector is ordered by point
  *    position regardless of scheduling, and each point's simulation is
  *    a pure function of its resolved SimConfig + RunProtocol, so runs
  *    are bit-identical across jobs=1/jobs=N and cold/warm cache.
@@ -21,8 +22,9 @@
  *    ("workload/policy[/variant]").
  *  - Safe caching: cache entries are addressed by
  *    sweepConfigDigest() — a canonical hash of every configuration
- *    field plus a code-version salt — and validated on load; corrupt
- *    or mismatched entries degrade to cache misses.
+ *    field plus a code-version salt — computed where the point is
+ *    resolved and validated on load; corrupt or mismatched entries
+ *    degrade to cache misses.
  *
  * See DESIGN.md §9 ("thermctl-sweep") for the grid model, the cache-key
  * derivation, and the threading model.
@@ -43,17 +45,24 @@
 namespace thermctl
 {
 
-/** One fully resolved grid point. */
+/**
+ * One fully resolved run: what SweepEngine executes. Only
+ * SweepSpec::points() and serve::resolvePoint build one, so `digest`
+ * always names `config` under `proto`.
+ */
 struct SweepPoint
 {
     /** Stable identity: "workload/policy" or "workload/policy/variant". */
     std::string key;
 
-    /** Position in the grid (results are returned in this order). */
+    /** Position in the engine call (results are returned in this order). */
     std::size_t index = 0;
 
     /** The fully resolved configuration this point simulates. */
     SimConfig config;
+
+    RunProtocol proto;
+    std::uint64_t digest = 0; ///< sweepConfigDigest(config, proto)
 };
 
 /** A named configuration override forming the third grid axis. */
@@ -95,15 +104,12 @@ class SweepSpec
     SweepSpec &variant(std::string name,
                        std::function<void(SimConfig &)> apply);
 
-    const RunProtocol &runProtocol() const { return proto_; }
-    const SimConfig &baseConfig() const { return base_; }
-
     /** @return number of grid points (product of non-empty axes). */
     std::size_t size() const;
 
     /**
      * Resolve the grid: apply variant overrides to the base config,
-     * install workload and policy, derive keys. Order is
+     * install workload and policy, derive keys and digests. Order is
      * workloads (outer) x policies x variants (inner), independent of
      * execution scheduling. Duplicate keys are a fatal configuration
      * error.
@@ -118,16 +124,17 @@ class SweepSpec
     std::vector<SweepVariant> variants_;
 };
 
-/** One executed grid point with its provenance and cost. */
+/** One executed point with its provenance and cost. */
 struct SweepOutcome
 {
     SweepPoint point;
     RunResult result;
     double wall_seconds = 0.0; ///< time to produce (≈0 on a cache hit)
     bool cache_hit = false;
+    std::string error; ///< why the point failed; empty when it succeeded
 };
 
-/** Results of one engine invocation, ordered by grid position. */
+/** Results of one engine invocation, ordered by point position. */
 class SweepResults
 {
   public:
@@ -172,15 +179,22 @@ struct SweepOptions
     /** Enable the content-addressed on-disk result cache. */
     bool use_cache = false;
 
-    /** Cache directory; empty = defaultCacheDir(). */
+    /** Cache directory; empty = the default effectiveCacheDir() names. */
     std::string cache_dir;
+
+    /**
+     * @return cache_dir when set, else THERMCTL_CACHE_DIR, else
+     * XDG_CACHE_HOME/thermctl, else ~/.cache/thermctl.
+     */
+    std::string effectiveCacheDir() const;
 };
 
 /**
- * Progress callbacks, invoked serialized (never concurrently) from the
- * threads running the points. on_run_start fires when a point begins resolving
- * (cache probe included); on_run_done fires with the outcome, its wall
- * time, and whether the cache served it.
+ * Progress callbacks of one run() call, invoked serialized (never
+ * concurrently) from the threads running the points. on_run_start fires
+ * when a point begins (cache probe included); on_run_done fires for
+ * every point with its outcome, its wall time, and whether the cache
+ * served it.
  */
 struct SweepTelemetry
 {
@@ -191,32 +205,36 @@ struct SweepTelemetry
 };
 
 /**
- * Executes SweepSpecs on the parallelFor pool with optional
- * content-addressed result caching.
+ * Executes resolved points on the parallelFor pool with optional
+ * content-addressed result caching. The engine holds only its options,
+ * so concurrent callers may share one with different telemetry.
  */
 class SweepEngine
 {
   public:
     explicit SweepEngine(const SweepOptions &opts = {});
 
-    void setTelemetry(SweepTelemetry telemetry);
+    /**
+     * Execute every point, numbered by position; results come back in
+     * that order. Every point runs and reports through on_run_done, a
+     * failed one with its error.
+     * @throws FatalError once all points are done when any failed,
+     * naming the first failed point.
+     */
+    SweepResults run(std::vector<SweepPoint> points,
+                     const SweepTelemetry &telemetry = {}) const;
 
-    /** Execute every grid point; results ordered by grid position. */
-    SweepResults run(const SweepSpec &spec) const;
-
-    const SweepOptions &options() const { return opts_; }
+    SweepResults run(const SweepSpec &spec,
+                     const SweepTelemetry &telemetry = {}) const
+    {
+        return run(spec.points(), telemetry);
+    }
 
     /** @return how many points of a grid this size run at once. */
     unsigned effectiveJobs(std::size_t grid_size) const;
 
     /** @return THERMCTL_JOBS when set (>=1), else hardware_concurrency. */
     static unsigned defaultJobs();
-
-    /**
-     * @return THERMCTL_CACHE_DIR when set, else XDG_CACHE_HOME/thermctl,
-     * else ~/.cache/thermctl.
-     */
-    static std::string defaultCacheDir();
 
     /**
      * @return the options of a command-line front end before any flag:
@@ -227,14 +245,13 @@ class SweepEngine
 
   private:
     SweepOptions opts_;
-    SweepTelemetry telemetry_;
 };
 
 /**
  * Parse `arg` into `opts` when it is an engine flag: --jobs N (N >= 1),
- * --cache-dir PATH or --no-cache. `next` fetches the flag's value. Every
- * binary that runs a SweepEngine takes its engine flags here, so a bad
- * one fails with the same message everywhere.
+ * --cache-dir PATH (non-empty) or --no-cache. `next` fetches the
+ * flag's value. Every binary that runs a SweepEngine takes its engine
+ * flags here, so a bad one fails with the same message everywhere.
  * @return false when `arg` is not an engine flag.
  * @throws FatalError on a malformed value.
  */

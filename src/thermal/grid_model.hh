@@ -68,8 +68,6 @@ class GridThermalModel
     /** Hottest cell anywhere on the die. */
     Celsius dieMax() const;
 
-    std::uint32_t cellsPerSide() const { return n_; }
-
   private:
     std::size_t index(std::uint32_t ix, std::uint32_t iy) const
     {

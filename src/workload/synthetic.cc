@@ -209,7 +209,6 @@ SyntheticWorkload::phaseParams(const WorkloadPhase *phase) const
 void
 SyntheticWorkload::advancePhaseAccounting()
 {
-    ++generated_;
     if (profile_.phases.empty())
         return;
     if (phase_insts_left_ > 0)

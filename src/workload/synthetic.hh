@@ -36,9 +36,6 @@ class SyntheticWorkload : public InstructionStream
 
     const WorkloadProfile &profile() const { return profile_; }
 
-    /** Committed-path instructions generated so far. */
-    std::uint64_t generated() const { return generated_; }
-
     /** Index of the currently active phase (0 when no phases defined). */
     std::size_t currentPhase() const { return phase_index_; }
 
@@ -150,8 +147,6 @@ class SyntheticWorkload : public InstructionStream
     std::uint64_t phase_insts_left_ = 0;
     /** One entry per phase (one in all when there are none). */
     std::vector<EffectiveParams> phase_params_;
-
-    std::uint64_t generated_ = 0;
 };
 
 } // namespace thermctl

@@ -383,7 +383,7 @@ clusterExpected(const SweepRequest &grid)
 {
     std::map<std::string, std::string> expected;
     for (const PointSpec &cell : grid.points()) {
-        const ResolvedPoint pt = resolvePoint(cell, SimConfig{});
+        const SweepPoint pt = resolvePoint(cell, SimConfig{});
         const RunResult result = ExperimentRunner(pt.proto).runOne(
             pt.config.workload, pt.config.policy, pt.config);
         expected[pt.key] = serializeRunResult(result);

@@ -10,10 +10,12 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "common/flags.hh"
 #include "common/logging.hh"
 #include "grid_cli.hh"
+#include "sim/sweep.hh"
 
 using namespace thermctl;
 
@@ -256,6 +259,78 @@ TEST(GridFlags, AcceptExactlyTheValuesTheWireCarries)
     serve::SweepRequest grid = cli::defaultGrid();
     EXPECT_FALSE(cli::parseGridFlag(
         "--jobs", [] { return std::string("2"); }, grid));
+}
+
+TEST(GridFlags, MalformedValuesAreFatalForEveryFlag)
+{
+    // The inputs every valued flag is fed, on top of its own
+    // out-of-range values. `well_formed` names the ones that are a
+    // valid value of that flag's type: any nonzero finite temperature
+    // is a setpoint the wire carries, a finite double past 2^64 is a
+    // valid resistance or budget, and any non-empty text names a
+    // directory.
+    const std::vector<std::string> malformed = {
+        "", "-1", "4x", "nan", "inf", "1e309", "18446744073709551616"};
+    const std::vector<std::string> any_path(malformed.begin() + 1,
+                                            malformed.end());
+    struct Flag
+    {
+        const char *name;
+        std::vector<std::string> out_of_range;
+        std::vector<std::string> well_formed;
+    };
+    const Flag flags[] = {
+        {"--bench", {"999.missing", "gcc,bogus"}, {}},
+        {"--policy", {"warp-drive", "none,PI,nope"}, {}},
+        {"--warmup", {}, {}},
+        {"--cycles", {"0"}, {}},
+        {"--setpoint", {"0", "-0"}, {"-1", "18446744073709551616"}},
+        {"--sample", {"0"}, {}},
+        {"--cores", {"0", "65"}, {}},
+        {"--coupling", {"0", "-0.5"}, {"18446744073709551616"}},
+        {"--budget", {"-0.5"}, {"18446744073709551616"}},
+        {"--budget-policy", {"greedy", "Uniform"}, {}},
+        {"--jobs", {"0"}, {}},
+        {"--cache-dir", {}, any_path},
+    };
+    const auto parse = [](const std::string &flag,
+                          const std::function<std::string()> &next) {
+        serve::SweepRequest grid = cli::defaultGrid();
+        SweepOptions opts;
+        return cli::parseGridFlag(flag, next, grid)
+               || parseSweepFlag(flag, next, opts);
+    };
+    for (const Flag &f : flags) {
+        // A missing value: the tools' `next` throws, and the parser
+        // must let it through.
+        EXPECT_THROW(parse(f.name,
+                           [&]() -> std::string {
+                               fatal("missing value for ", f.name);
+                           }),
+                     FatalError)
+            << f.name;
+        std::vector<std::string> values = f.out_of_range;
+        for (const std::string &v : malformed)
+            if (std::find(f.well_formed.begin(), f.well_formed.end(), v)
+                == f.well_formed.end())
+                values.push_back(v);
+        for (const std::string &v : values) {
+            EXPECT_THROW(parse(f.name, [&] { return v; }), FatalError)
+                << f.name << " '" << v << "'";
+        }
+        for (const std::string &v : f.well_formed) {
+            EXPECT_NO_THROW((void)parse(f.name, [&] { return v; }))
+                << f.name << " '" << v << "'";
+        }
+    }
+
+    // --no-cache takes no value.
+    SweepOptions opts;
+    opts.use_cache = true;
+    EXPECT_TRUE(parseSweepFlag(
+        "--no-cache",
+        []() -> std::string { fatal("--no-cache read a value"); }, opts));
+    EXPECT_FALSE(opts.use_cache);
 }
 
 TEST(CliOutput, TraceTempsProbeMatchesTheSweepPath)

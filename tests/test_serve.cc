@@ -463,12 +463,12 @@ fastSchedOptions()
 TEST(ServeScheduler, ResolvePointNamesDigest)
 {
     const SimConfig base;
-    const ResolvedPoint a = resolvePoint(fastPoint(), base);
-    const ResolvedPoint b = resolvePoint(fastPoint(), base);
+    const SweepPoint a = resolvePoint(fastPoint(), base);
+    const SweepPoint b = resolvePoint(fastPoint(), base);
     EXPECT_EQ(a.digest, b.digest);
     EXPECT_EQ(a.key, "186.crafty/none");
 
-    const ResolvedPoint other_bench =
+    const SweepPoint other_bench =
         resolvePoint(fastPoint("179.art"), base);
     EXPECT_NE(other_bench.digest, a.digest);
 
@@ -480,12 +480,20 @@ TEST(ServeScheduler, ResolvePointNamesDigest)
                  FatalError);
     EXPECT_THROW(resolvePoint(fastPoint("999.missing"), base),
                  FatalError);
+
+    // The multicore engine runs only some policies; the rest are
+    // refused here, before any simulation.
+    PointSpec chip = fastPoint("186.crafty", "toggle1");
+    chip.num_cores = 2;
+    EXPECT_THROW(resolvePoint(chip, base), FatalError);
+    chip.policy = "PID";
+    EXPECT_NO_THROW((void)resolvePoint(chip, base));
 }
 
 TEST(ServeScheduler, CoalescesIdenticalInflightRequests)
 {
     Scheduler sched(fastSchedOptions());
-    const ResolvedPoint pt = resolvePoint(fastPoint(), SimConfig{});
+    const SweepPoint pt = resolvePoint(fastPoint(), SimConfig{});
 
     sched.pauseDispatch();
     Scheduler::Ticket first = sched.submit(pt, 0);
@@ -595,6 +603,67 @@ TEST(ServeScheduler, BatchesDistinctBenchmarksInOneDispatch)
     EXPECT_EQ(b.future.get()->result.benchmark, "179.art");
     sched.awaitIdle();
     EXPECT_EQ(sched.stats().simulated, 2u);
+}
+
+TEST(ServeScheduler, CacheHitIsNotHeldBackByItsBatch)
+{
+    const std::filesystem::path cache_dir =
+        std::filesystem::temp_directory_path()
+        / ("tserve-hit-" + std::to_string(::getpid()));
+    std::filesystem::remove_all(cache_dir);
+    Scheduler::Options opts = fastSchedOptions();
+    opts.sweep.jobs = 1;
+    opts.sweep.use_cache = true;
+    opts.sweep.cache_dir = cache_dir.string();
+    Scheduler sched(opts);
+
+    // Long enough that the fresh point is still simulating when the
+    // hit ahead of it has been answered.
+    PointSpec hit = fastPoint("186.crafty");
+    hit.measure_cycles = 500000;
+    PointSpec fresh = hit;
+    fresh.benchmark = "179.art";
+    ASSERT_EQ(sched.submit(resolvePoint(hit, {}), 0).future.get()->error,
+              ServeError::None);
+
+    sched.pauseDispatch();
+    Scheduler::Ticket a = sched.submit(resolvePoint(hit, {}), 0);
+    Scheduler::Ticket b = sched.submit(resolvePoint(fresh, {}), 0);
+    sched.resumeDispatch();
+
+    EXPECT_TRUE(a.future.get()->cache_hit);
+    EXPECT_EQ(b.future.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout)
+        << "the hit waited for the simulation in its batch";
+    EXPECT_FALSE(b.future.get()->cache_hit);
+    sched.awaitIdle();
+    std::filesystem::remove_all(cache_dir);
+}
+
+TEST(ServeScheduler, FailuresStayPerPoint)
+{
+    Scheduler sched(fastSchedOptions());
+    SweepPoint bad = resolvePoint(fastPoint("164.gzip"), {});
+    bad.config.workload.num_blocks = 0; // fails when the workload builds
+    bad.digest = sweepConfigDigest(bad.config, bad.proto);
+
+    sched.pauseDispatch();
+    Scheduler::Ticket good =
+        sched.submit(resolvePoint(fastPoint("186.crafty"), {}), 0);
+    Scheduler::Ticket broken = sched.submit(bad, 0);
+    sched.resumeDispatch();
+
+    const Scheduler::OutcomePtr ok = good.future.get();
+    EXPECT_EQ(ok->error, ServeError::None) << ok->message;
+    EXPECT_EQ(ok->result.benchmark, "186.crafty");
+    const Scheduler::OutcomePtr failed = broken.future.get();
+    EXPECT_EQ(failed->error, ServeError::Internal);
+    EXPECT_NE(failed->message.find("164.gzip/none"), std::string::npos)
+        << failed->message;
+    sched.awaitIdle();
+    const SchedulerStats s = sched.stats();
+    EXPECT_EQ(s.simulated, 1u);
+    EXPECT_EQ(s.failed, 1u);
 }
 
 // ------------------------------------------------------------- server
@@ -818,6 +887,24 @@ TEST(ServeServer, UnknownNamesComeBackAsBadRequest)
     server.shutdown();
 }
 
+TEST(ServeServer, UnsupportedMulticorePolicyIsABadRequest)
+{
+    const ServerOptions opts = fastServerOptions(21);
+    Server server(opts);
+    server.start();
+
+    ServeClient c = ServeClient::connect(opts.unix_path);
+    RunRequest req;
+    req.point = fastPoint("186.crafty", "toggle1");
+    req.point.num_cores = 2;
+    const PointReply reply = c.run(req);
+    EXPECT_EQ(reply.error, ServeError::BadRequest) << reply.message;
+    EXPECT_NE(reply.message.find("multicore engine"), std::string::npos)
+        << reply.message;
+    EXPECT_EQ(c.stats().points_simulated, 0u);
+    server.shutdown();
+}
+
 TEST(ServeServer, ForeignWireVersionGetsTypedRejection)
 {
     const ServerOptions opts = fastServerOptions(6);
@@ -1003,6 +1090,26 @@ TEST(ServeScheduler, WatchdogFailsStalledDispatchWithTypedError)
     const SchedulerStats s = sched.stats();
     EXPECT_EQ(s.stalled, 1u);
     EXPECT_EQ(s.simulated, 0u); // late result never counted as success
+}
+
+TEST(ServeScheduler, OneEngineCallPerBatch)
+{
+    ScopedDisarm guard;
+    Scheduler sched(fastSchedOptions());
+    sched.pauseDispatch();
+    Scheduler::Ticket a =
+        sched.submit(resolvePoint(fastPoint("186.crafty", "none"), {}), 0);
+    Scheduler::Ticket b =
+        sched.submit(resolvePoint(fastPoint("186.crafty", "PI"), {}), 0);
+
+    // sched.batch is probed once per engine call.
+    fault::FaultInjector::instance().arm(
+        fault::FaultPlan::parse("sched.batch=stall:ms=1"));
+    sched.resumeDispatch();
+    EXPECT_EQ(a.future.get()->error, ServeError::None);
+    EXPECT_EQ(b.future.get()->error, ServeError::None);
+    sched.awaitIdle();
+    EXPECT_EQ(fault::FaultInjector::instance().firedCount(), 1u);
 }
 
 TEST(ServeServer, ShortWritesAndInterruptedReadsStillDeliverExactly)

@@ -11,7 +11,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -306,7 +308,29 @@ TEST(SweepEngine, PointFailureRethrowsAndTheEngineStaysUsable)
         SweepOptions opts;
         opts.jobs = jobs;
         const SweepEngine engine(opts);
-        EXPECT_THROW(engine.run(bad), FatalError) << "jobs=" << jobs;
+        // Every point still runs and reports, the broken one with its
+        // error; run() throws once all are done.
+        std::map<std::string, std::string> reported;
+        SweepTelemetry telemetry;
+        telemetry.on_run_done = [&](const SweepOutcome &oc, std::size_t) {
+            reported[oc.point.key] = oc.error;
+        };
+        std::string thrown;
+        try {
+            (void)engine.run(bad, telemetry);
+        } catch (const FatalError &e) {
+            thrown = e.what();
+        }
+        EXPECT_NE(thrown.find("'broken/none'"), std::string::npos)
+            << "jobs=" << jobs << ": " << thrown;
+        EXPECT_EQ(reported.size(), bad.size()) << "jobs=" << jobs;
+        for (const auto &[key, error] : reported) {
+            if (key == "broken/none")
+                EXPECT_NE(error.find("num_blocks"), std::string::npos)
+                    << "jobs=" << jobs << ": " << error;
+            else
+                EXPECT_EQ(error, "") << "jobs=" << jobs << " " << key;
+        }
         EXPECT_EQ(resultBytes(engine.run(clean)), expected)
             << "jobs=" << jobs;
     }
@@ -327,8 +351,7 @@ TEST(SweepEngine, JobsCapsThePointsInFlight)
         --in_flight;
         ++done;
     };
-    engine.setTelemetry(telemetry);
-    engine.run(smallGrid());
+    engine.run(smallGrid(), telemetry);
     EXPECT_EQ(done, 9);
     EXPECT_LE(peak, 2);
 }

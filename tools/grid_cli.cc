@@ -7,6 +7,7 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "sim/policy_factory.hh"
+#include "workload/spec_profiles.hh"
 
 namespace thermctl::cli
 {
@@ -50,12 +51,18 @@ parseGridFlag(const std::string &arg,
     serve::PointSpec &p = grid.point;
     if (arg == "--bench") {
         grid.benchmarks = splitList(next());
+        for (const std::string &name : grid.benchmarks)
+            (void)specProfile(name); // fatal on an unknown name
     } else if (arg == "--policy") {
         grid.policies = splitList(next());
+        for (const std::string &name : grid.policies)
+            (void)requireDtmPolicyKind(name);
     } else if (arg == "--warmup") {
         p.warmup_cycles = parseFlag<std::uint64_t>(arg, next());
     } else if (arg == "--cycles") {
         p.measure_cycles = parseFlag<std::uint64_t>(arg, next());
+        if (p.measure_cycles < 1)
+            fatal("--cycles must be >= 1");
     } else if (arg == "--setpoint") {
         p.ct_setpoint = parseFlag<double>(arg, next());
         if (p.ct_setpoint == 0.0)

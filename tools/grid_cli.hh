@@ -34,7 +34,8 @@ serve::SweepRequest defaultGrid();
  * Parse `arg` into `grid` when it is a shared grid flag: --bench,
  * --policy, --warmup, --cycles, --setpoint, --sample, --cores,
  * --coupling, --budget or --budget-policy. `next` fetches the flag's
- * value. A knob accepts exactly the values the wire carries with their
+ * value. Benchmark and policy names must be known ones, --cycles >= 1,
+ * and a knob accepts exactly the values the wire carries with their
  * stated meaning: --cores 1..kMaxCores, --sample >= 1, --setpoint != 0,
  * --coupling > 0, --budget >= 0 (0 = no budget coordinator).
  * @return false when `arg` is not a grid flag.

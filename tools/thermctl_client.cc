@@ -37,8 +37,8 @@
  * thermctl_run (tools/grid_cli.hh); a knob left unset keeps the
  * server's default. Result blocks are formatted exactly like
  * thermctl_run so outputs can be compared byte-for-byte. Server
- * refusals (overloaded, draining, deadline) exit 3; transport and usage
- * errors exit 2.
+ * refusals (bad request, overloaded, draining, deadline) exit 3;
+ * transport and usage errors exit 2.
  */
 
 #include <iostream>

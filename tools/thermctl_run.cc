@@ -35,10 +35,11 @@
  * thermctl_client and thermctl_coord take (tools/grid_cli.hh), and each
  * cell's configuration comes from serve::resolvePoint, the server's
  * mapping, so the three print identical stdout for the same grid.
- * Multiple benchmarks and policies form a cartesian sweep executed by
- * the parallel SweepEngine; a single point goes through the same engine
- * (and cache) unless --trace or --trace-temps forces the direct probe
- * path. A sweep's point and cache-hit counts go to stderr.
+ * Multiple benchmarks and policies form a cartesian sweep whose resolved
+ * cells go straight to the parallel SweepEngine; a single point goes
+ * through the same engine (and cache) unless --trace or --trace-temps
+ * forces the direct probe path. A sweep's point and cache-hit counts go
+ * to stderr.
  */
 
 #include <fstream>
@@ -124,10 +125,10 @@ main(int argc, char **argv)
 
     try {
         multicore::ensureBackendRegistered();
-        std::vector<serve::ResolvedPoint> cells;
+        std::vector<SweepPoint> cells;
         for (const serve::PointSpec &cell : grid.points())
             cells.push_back(serve::resolvePoint(cell, base));
-        const serve::ResolvedPoint &first = cells.front();
+        const SweepPoint &first = cells.front();
         cli::ResultPrinter printer(grid.point.measure_cycles, csv_path);
 
         if (!temps_path.empty() || !base.trace_path.empty()) {
@@ -176,19 +177,8 @@ main(int argc, char **argv)
             return 0;
         }
 
-        // The cells share every knob, so they factor back into one base
-        // configuration x workloads x policies (grid order: benchmarks
-        // outer, policies inner).
-        const std::size_t num_policies = grid.policies.size();
-        SweepSpec spec;
-        spec.protocol(first.proto).base(first.config);
-        for (std::size_t i = 0; i < cells.size(); i += num_policies)
-            spec.workload(cells[i].config.workload);
-        for (std::size_t i = 0; i < num_policies; ++i)
-            spec.policy(cells[i].config.policy);
-
-        SweepEngine engine(sweep_opts);
-        const SweepResults res = engine.run(spec);
+        const SweepResults res =
+            SweepEngine(sweep_opts).run(std::move(cells));
         for (const auto &oc : res.outcomes())
             printer.print(oc.result);
         if (res.size() > 1) {

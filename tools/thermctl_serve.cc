@@ -174,11 +174,8 @@ main(int argc, char **argv)
         // Recover the cache directory from a crashed predecessor before
         // the first request can read a half-published entry.
         if (opts.sweep.use_cache) {
-            const std::string cache_dir =
-                opts.sweep.cache_dir.empty()
-                    ? SweepEngine::defaultCacheDir()
-                    : opts.sweep.cache_dir;
-            const CacheRecoveryStats rec = sweepCacheRecover(cache_dir);
+            const CacheRecoveryStats rec =
+                sweepCacheRecover(opts.sweep.effectiveCacheDir());
             if (rec.quarantined > 0 || rec.tmp_removed > 0) {
                 std::cerr << "thermctl_serve: cache recovery: scanned "
                           << rec.scanned << " entries, quarantined "
