@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "common/logging.hh"
+#include "common/table.hh"
 #include "workload/spec_profiles.hh"
 
 namespace thermctl::bench
@@ -131,6 +132,43 @@ Session::runOne(const WorkloadProfile &profile,
     SweepSpec s = spec();
     s.base(base).workload(profile).policy(policy);
     return run(s).outcomes().front().result;
+}
+
+void
+Session::printBoxcarTable(BoxcarProxyKind kind,
+                          const std::string &overall,
+                          const std::string &note) const
+{
+    TextTable t;
+    t.setHeader({"benchmark", "emerg cyc", "missed 10K", "false 10K",
+                 "missed 500K", "false 500K"});
+    std::uint64_t total_emerg = 0, total_missed_small = 0,
+                  total_missed_large = 0;
+    for (const auto &profile : allSpecProfiles()) {
+        const BoxcarWindows r = runBoxcarProxies(profile, proto_, kind);
+        total_emerg += r.small.reference_emergencies;
+        total_missed_small += r.small.missed;
+        total_missed_large += r.large.missed;
+        t.addRow({profile.name,
+                  std::to_string(r.small.reference_emergencies),
+                  formatPercent(r.small.missRate(), 1),
+                  formatPercent(r.small.falseTriggerRate(), 2),
+                  formatPercent(r.large.missRate(), 1),
+                  formatPercent(r.large.falseTriggerRate(), 2)});
+    }
+    t.print(std::cout);
+
+    if (total_emerg > 0) {
+        std::cout << "\n" << overall << "10K window "
+                  << formatPercent(double(total_missed_small)
+                                       / double(total_emerg),
+                                   1)
+                  << ", 500K window "
+                  << formatPercent(double(total_missed_large)
+                                       / double(total_emerg),
+                                   1)
+                  << note << "\n";
+    }
 }
 
 void

@@ -62,6 +62,16 @@ class Session
                      const DtmPolicySettings &policy,
                      const SimConfig &base = {}) const;
 
+    /**
+     * Tables 9 and 10: run every profile through runBoxcarProxies and
+     * print, for one proxy kind, each benchmark's emergency cycles and
+     * the missed and false-trigger rates of both windows, then the
+     * overall missed rates after `overall` and before `note`.
+     */
+    void printBoxcarTable(BoxcarProxyKind kind,
+                          const std::string &overall,
+                          const std::string &note) const;
+
     /** Print the standard header naming the experiment. */
     static void printTitle(const std::string &title,
                            const std::string &paper_ref);

@@ -9,76 +9,19 @@
  * motivation for per-structure thermal modeling.
  */
 
-#include <iostream>
-
 #include "bench_util.hh"
-#include "common/table.hh"
-#include "sim/simulator.hh"
-#include "thermal/boxcar.hh"
-#include "workload/spec_profiles.hh"
 
 using namespace thermctl;
 
 int
 main(int argc, char **argv)
 {
-    bench::Session session(
+    const bench::Session session(
         argc, argv,
         "Table 10: chip-wide boxcar power proxy vs. localized RC model",
         "Table 10 / Section 6");
-
-    const RunProtocol proto = session.protocol();
-    const double trigger_watts = 47.0;
-
-    TextTable t;
-    t.setHeader({"benchmark", "emerg cyc", "missed 10K", "false 10K",
-                 "missed 500K", "false 500K"});
-    std::uint64_t total_emerg = 0, total_missed_small = 0,
-                  total_missed_large = 0;
-
-    for (const auto &profile : allSpecProfiles()) {
-        SimConfig cfg;
-        cfg.workload = profile;
-        Simulator sim(cfg);
-        ChipBoxcarProxy small(10000, trigger_watts);
-        ChipBoxcarProxy large(500000, trigger_watts);
-        ProxyComparison cmp_small, cmp_large;
-
-        sim.warmUp(proto.warmup_cycles);
-        for (std::uint64_t c = 0; c < proto.measure_cycles; ++c) {
-            sim.tick();
-            const double p = sim.lastPower().total();
-            small.add(p);
-            large.add(p);
-            const bool hot = sim.thermal().temperatures().maxHotspot()
-                > cfg.thermal.t_emergency;
-            cmp_small.record(hot, small.triggered());
-            cmp_large.record(hot, large.triggered());
-        }
-
-        total_emerg += cmp_small.reference_emergencies;
-        total_missed_small += cmp_small.missed;
-        total_missed_large += cmp_large.missed;
-        t.addRow({profile.name,
-                  std::to_string(cmp_small.reference_emergencies),
-                  formatPercent(cmp_small.missRate(), 1),
-                  formatPercent(cmp_small.falseTriggerRate(), 2),
-                  formatPercent(cmp_large.missRate(), 1),
-                  formatPercent(cmp_large.falseTriggerRate(), 2)});
-    }
-    t.print(std::cout);
-
-    if (total_emerg > 0) {
-        std::cout << "\noverall chip-wide missed-emergency rate: "
-                     "10K window "
-                  << formatPercent(double(total_missed_small)
-                                       / double(total_emerg),
-                                   1)
-                  << ", 500K window "
-                  << formatPercent(double(total_missed_large)
-                                       / double(total_emerg),
-                                   1)
-                  << " (paper: almost all localized emergencies missed)\n";
-    }
+    session.printBoxcarTable(
+        BoxcarProxyKind::Chip, "overall chip-wide missed-emergency rate: ",
+        " (paper: almost all localized emergencies missed)");
     return 0;
 }

@@ -13,98 +13,18 @@
  * exponential RC effect a boxcar average cannot capture.
  */
 
-#include <iostream>
-
 #include "bench_util.hh"
-#include "common/table.hh"
-#include "sim/simulator.hh"
-#include "thermal/boxcar.hh"
-#include "workload/spec_profiles.hh"
 
 using namespace thermctl;
-
-namespace
-{
-
-struct ProxyResult
-{
-    ProxyComparison small_window;
-    ProxyComparison large_window;
-};
-
-ProxyResult
-runOne(const WorkloadProfile &profile, const RunProtocol &proto)
-{
-    SimConfig cfg;
-    cfg.workload = profile;
-    Simulator sim(cfg);
-    const Floorplan &fp = sim.floorplan();
-
-    StructureBoxcarProxy proxy_small(fp, cfg.thermal, 10000,
-                                     cfg.thermal.t_emergency);
-    StructureBoxcarProxy proxy_large(fp, cfg.thermal, 500000,
-                                     cfg.thermal.t_emergency);
-    sim.warmUp(proto.warmup_cycles);
-
-    ProxyResult result;
-    for (std::uint64_t c = 0; c < proto.measure_cycles; ++c) {
-        sim.tick();
-        const PowerVector &p = sim.lastPower();
-        proxy_small.add(p);
-        proxy_large.add(p);
-        const auto &temps = sim.thermal().temperatures();
-        for (std::size_t i = 0; i < kNumHotspotStructures; ++i) {
-            const auto id = static_cast<StructureId>(i);
-            const bool hot =
-                temps[id] > cfg.thermal.t_emergency;
-            result.small_window.record(hot, proxy_small.triggered(id));
-            result.large_window.record(hot, proxy_large.triggered(id));
-        }
-    }
-    return result;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    bench::Session session(
+    const bench::Session session(
         argc, argv,
         "Table 9: per-structure boxcar power proxy vs. RC model",
         "Table 9 / Section 6");
-
-    const RunProtocol proto = session.protocol();
-
-    TextTable t;
-    t.setHeader({"benchmark", "emerg cyc", "missed 10K", "false 10K",
-                 "missed 500K", "false 500K"});
-    std::uint64_t total_emerg = 0, total_missed_small = 0,
-                  total_missed_large = 0;
-    for (const auto &profile : allSpecProfiles()) {
-        auto r = runOne(profile, proto);
-        total_emerg += r.small_window.reference_emergencies;
-        total_missed_small += r.small_window.missed;
-        total_missed_large += r.large_window.missed;
-        t.addRow({profile.name,
-                  std::to_string(r.small_window.reference_emergencies),
-                  formatPercent(r.small_window.missRate(), 1),
-                  formatPercent(r.small_window.falseTriggerRate(), 2),
-                  formatPercent(r.large_window.missRate(), 1),
-                  formatPercent(r.large_window.falseTriggerRate(), 2)});
-    }
-    t.print(std::cout);
-
-    if (total_emerg > 0) {
-        std::cout << "\noverall missed-emergency rate: 10K window "
-                  << formatPercent(double(total_missed_small)
-                                       / double(total_emerg),
-                                   1)
-                  << ", 500K window "
-                  << formatPercent(double(total_missed_large)
-                                       / double(total_emerg),
-                                   1)
-                  << "\n";
-    }
+    session.printBoxcarTable(BoxcarProxyKind::Structure,
+                             "overall missed-emergency rate: ", "");
     return 0;
 }

@@ -4,16 +4,19 @@
 #   format         clang-format check (skipped when absent)
 #   plain          build + ctest with -Werror and the physics-invariant
 #                  instrumentation compiled in (THERMCTL_INVARIANTS=ON)
-#   analyze        thermctl_analyze over src/, tools/, tests/, bench/ and
-#                  examples/: the per-file project rules (raw-double
-#                  APIs, naked mutexes, unchecked decodes, fault probes
-#                  outside src/, raw number parsing, ...) plus
-#                  include-graph layering (.thermctl-layers) + cycle
-#                  detection, unchecked must-check returns, static
+#   analyze        thermctl_analyze over src/, tools/, tests/, bench/,
+#                  examples/ and perf/: the per-file project rules
+#                  (raw-double APIs, naked mutexes, unchecked decodes,
+#                  fault probes outside src/, raw number parsing, ...)
+#                  plus include-graph layering (.thermctl-layers) +
+#                  cycle detection, unchecked must-check returns, static
 #                  lock-order auditing, CFG+taint alloc-bound checking
 #                  (deserialized counts must pass a dominating bound
-#                  before reserve/resize/new[]), and struct-field
-#                  coverage of digest/encode/decode bodies, with the
+#                  before reserve/resize/new[]), struct-field coverage
+#                  of digest/encode/decode bodies, and dead-surface (a
+#                  public function or class of a src/ header that
+#                  nothing outside its own .hh/.cc uses, unit tests not
+#                  counting, is deleted or made private), with the
 #                  committed baseline (.thermctl-analyze-allow); --ci
 #                  makes stale entries fail the stage; one invocation
 #                  over the whole tree so cross-file edges are visible
@@ -140,15 +143,16 @@ if want analyze; then
     cmake --build "${base}/plain" -j "${jobs}" --target thermctl_analyze
     # One invocation over the whole tree: the include-graph passes only
     # see edges between files of the same run, and tests/, bench/,
-    # tools/ and examples/ are included so fault-point-scope and
-    # raw-number-parse see code outside src/. The committed fixture
+    # tools/, examples/ and perf/ are included so fault-point-scope and
+    # raw-number-parse see code outside src/ and dead-surface sees
+    # every caller of a src/ header. The committed fixture
     # trees under tests/analyze/fixtures/ contain planted violations
     # (that is their job), so they are excluded here and covered by
     # test_analyze instead.
     "${base}/plain/tools/thermctl_analyze" --ci --json \
         --layers .thermctl-layers --allowlist .thermctl-analyze-allow \
         --exclude tests/analyze/fixtures \
-        src/ tools/ tests/ bench/ examples/
+        src/ tools/ tests/ bench/ examples/ perf/
 fi
 
 if want bench-smoke; then

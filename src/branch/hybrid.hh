@@ -67,9 +67,6 @@ class HybridPredictor
     /** @return current (speculative) global history value. */
     std::uint32_t history() const { return history_; }
 
-    const ReturnAddressStack &ras() const { return ras_; }
-    const BranchTargetBuffer &btb() const { return btb_; }
-
   private:
     BimodalPredictor bimod_;
     GAgPredictor gag_;

@@ -41,8 +41,6 @@ class Counter2
         }
     }
 
-    std::uint8_t raw() const { return value_; }
-
   private:
     std::uint8_t value_;
 };
@@ -73,16 +71,6 @@ struct BranchPredictorStats
     std::uint64_t dir_correct = 0;
     std::uint64_t dir_wrong = 0;
     std::uint64_t target_wrong = 0;
-
-    /** @return conditional-branch direction accuracy in [0, 1]. */
-    double
-    accuracy() const
-    {
-        const std::uint64_t n = dir_correct + dir_wrong;
-        return n ? static_cast<double>(dir_correct)
-                     / static_cast<double>(n)
-                 : 0.0;
-    }
 };
 
 } // namespace thermctl

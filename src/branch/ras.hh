@@ -37,8 +37,6 @@ class ReturnAddressStack
     /** Restore the stack top after a squash. */
     void restore(std::uint32_t tos_index, Addr top_value);
 
-    std::size_t capacity() const { return stack_.size(); }
-
   private:
     std::vector<Addr> stack_;
     std::uint32_t tos_ = 0; ///< index one past the top element

@@ -54,13 +54,6 @@ namespace thermctl
 namespace check
 {
 
-/** @return true when invariant instrumentation is compiled in. */
-constexpr bool
-instrumentationEnabled()
-{
-    return THERMCTL_INVARIANTS_ENABLED != 0;
-}
-
 /** Panic unless every block temperature is finite. */
 void verifyFinite(const TemperatureVector &temps, const char *where);
 

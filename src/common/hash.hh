@@ -57,13 +57,6 @@ class HashStream
         return bytes(b, sizeof(b));
     }
 
-    /** Fold a signed integer (two's-complement bit pattern). */
-    HashStream &
-    i64(std::int64_t v)
-    {
-        return u64(static_cast<std::uint64_t>(v));
-    }
-
     /** Fold a bool as one byte. */
     HashStream &
     b(bool v)

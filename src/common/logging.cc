@@ -1,6 +1,5 @@
 #include "common/logging.hh"
 
-#include <atomic>
 #include <iostream>
 
 #include "common/mutex.hh"
@@ -11,10 +10,8 @@ namespace thermctl
 namespace
 {
 
-std::atomic<bool> quiet_flag{false};
-
 /**
- * Serializes warn()/inform() lines. Stream insertion on std::cerr is
+ * Serializes warn() lines. Stream insertion on std::cerr is
  * thread-safe per the standard, but each message here is built from
  * several insertions ("warn: ", msg, '\n'), so concurrent callers --
  * sweep workers, serve connection threads -- could interleave
@@ -30,33 +27,10 @@ streamMutex()
 } // namespace
 
 void
-setQuiet(bool quiet)
-{
-    quiet_flag.store(quiet, std::memory_order_relaxed);
-}
-
-bool
-isQuiet()
-{
-    return quiet_flag.load(std::memory_order_relaxed);
-}
-
-void
 warnMessage(const std::string &msg)
 {
-    if (!isQuiet()) {
-        MutexLock lock(streamMutex());
-        std::cerr << "warn: " << msg << '\n';
-    }
-}
-
-void
-informMessage(const std::string &msg)
-{
-    if (!isQuiet()) {
-        MutexLock lock(streamMutex());
-        std::cerr << "info: " << msg << '\n';
-    }
+    MutexLock lock(streamMutex());
+    std::cerr << "warn: " << msg << '\n';
 }
 
 } // namespace thermctl

@@ -6,7 +6,7 @@
  *  - panic(): an internal invariant was violated (a thermctl bug) — aborts.
  *  - fatal(): the simulation cannot continue due to user input
  *    (bad configuration, impossible parameters) — exits with an error code.
- *  - warn()/inform(): advisory messages; never stop the run.
+ *  - warn(): advisory messages; never stops the run.
  */
 
 #ifndef THERMCTL_COMMON_LOGGING_HH
@@ -72,17 +72,8 @@ panic(Args &&...args)
                                         std::forward<Args>(args)...));
 }
 
-/** Print an advisory warning to stderr (suppressed in quiet mode). */
+/** Print an advisory warning to stderr. */
 void warnMessage(const std::string &msg);
-
-/** Print a status message to stderr (suppressed in quiet mode). */
-void informMessage(const std::string &msg);
-
-/** Globally silence warn()/inform() output (used by tests and benches). */
-void setQuiet(bool quiet);
-
-/** @return true when warn()/inform() output is suppressed. */
-bool isQuiet();
 
 /** Formatted wrapper over warnMessage(). */
 template <typename... Args>
@@ -90,14 +81,6 @@ void
 warn(Args &&...args)
 {
     warnMessage(log_detail::concat(std::forward<Args>(args)...));
-}
-
-/** Formatted wrapper over informMessage(). */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    informMessage(log_detail::concat(std::forward<Args>(args)...));
 }
 
 } // namespace thermctl

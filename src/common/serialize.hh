@@ -43,8 +43,6 @@ class ByteWriter
             out_.push_back(static_cast<char>(v >> (8 * i)));
     }
 
-    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-
     /** Doubles are stored by bit pattern: exact round-trip. */
     void f64(double v);
 
@@ -72,10 +70,6 @@ class ByteReader
     [[nodiscard]] std::uint8_t u8();
     [[nodiscard]] std::uint32_t u32();
     [[nodiscard]] std::uint64_t u64();
-    [[nodiscard]] std::int64_t i64()
-    {
-        return static_cast<std::int64_t>(u64());
-    }
     [[nodiscard]] double f64();
     [[nodiscard]] std::string str();
 

@@ -1,7 +1,6 @@
 #include "common/stats.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -15,33 +14,9 @@ void
 Accumulator::add(double x)
 {
     ++count_;
-    sum_ += x;
-    double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
+    mean_ += (x - mean_) / static_cast<double>(count_);
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
-}
-
-void
-Accumulator::merge(const Accumulator &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    const double n1 = static_cast<double>(count_);
-    const double n2 = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    const double n = n1 + n2;
-    mean_ += delta * n2 / n;
-    m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-    count_ += other.count_;
-    sum_ += other.sum_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
 }
 
 void
@@ -60,20 +35,6 @@ double
 Accumulator::max() const
 {
     return count_ ? max_ : 0.0;
-}
-
-double
-Accumulator::variance() const
-{
-    if (count_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(count_);
-}
-
-double
-Accumulator::stddev() const
-{
-    return std::sqrt(variance());
 }
 
 // -------------------------------------------------------------- BoxcarAverage
@@ -129,32 +90,6 @@ BoxcarAverage::reset()
     adds_since_resum_ = 0;
 }
 
-// ---------------------------------------------------------------- EwmaAverage
-
-EwmaAverage::EwmaAverage(double alpha) : alpha_(alpha)
-{
-    if (alpha <= 0.0 || alpha > 1.0)
-        fatal("EwmaAverage alpha must be in (0, 1], got ", alpha);
-}
-
-void
-EwmaAverage::add(double x)
-{
-    if (empty_) {
-        value_ = x;
-        empty_ = false;
-    } else {
-        value_ += alpha_ * (x - value_);
-    }
-}
-
-void
-EwmaAverage::reset()
-{
-    value_ = 0.0;
-    empty_ = true;
-}
-
 // ------------------------------------------------------------------ Histogram
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
@@ -184,25 +119,11 @@ Histogram::add(double x)
     ++counts_[bin];
 }
 
-std::uint64_t
-Histogram::binCount(std::size_t bin) const
-{
-    if (bin >= counts_.size())
-        panic("Histogram::binCount: bin out of range");
-    return counts_[bin];
-}
-
 double
 Histogram::binLow(std::size_t bin) const
 {
     return lo_ + (hi_ - lo_) * static_cast<double>(bin)
         / static_cast<double>(counts_.size());
-}
-
-double
-Histogram::binHigh(std::size_t bin) const
-{
-    return binLow(bin + 1);
 }
 
 double
@@ -220,7 +141,7 @@ Histogram::quantile(double q) const
         if (next >= target && counts_[i] > 0) {
             const double frac =
                 (target - running) / static_cast<double>(counts_[i]);
-            return binLow(i) + frac * (binHigh(i) - binLow(i));
+            return binLow(i) + frac * (binLow(i + 1) - binLow(i));
         }
         running = next;
     }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Streaming statistics primitives used across the simulator: scalar
- * accumulators, fixed-window boxcar averages (the paper's power proxy),
- * exponentially weighted averages, and simple histograms.
+ * accumulators, fixed-window boxcar averages (the paper's power proxy)
+ * and simple histograms.
  */
 
 #ifndef THERMCTL_COMMON_STATS_HH
@@ -18,7 +18,7 @@ namespace thermctl
 {
 
 /**
- * Streaming scalar accumulator: count, mean, variance (Welford), min, max.
+ * Streaming scalar accumulator: count, running mean, min, max.
  */
 class Accumulator
 {
@@ -26,29 +26,17 @@ class Accumulator
     /** Fold one sample into the accumulator. */
     void add(double x);
 
-    /** Merge another accumulator's samples into this one. */
-    void merge(const Accumulator &other);
-
     /** Reset to the empty state. */
     void reset();
 
     std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
     double mean() const { return count_ ? mean_ : 0.0; }
     double min() const;
     double max() const;
 
-    /** Population variance (0 for fewer than two samples). */
-    double variance() const;
-
-    /** Population standard deviation. */
-    double stddev() const;
-
   private:
     std::uint64_t count_ = 0;
     double mean_ = 0.0;
-    double m2_ = 0.0;
-    double sum_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
 };
@@ -79,9 +67,6 @@ class BoxcarAverage
     /** @return configured window length. */
     std::size_t window() const { return buf_.size(); }
 
-    /** @return true once the window holds `window()` samples. */
-    bool full() const { return filled_ == buf_.size(); }
-
     /** Drop all samples. */
     void reset();
 
@@ -95,23 +80,6 @@ class BoxcarAverage
     void resum();
 };
 
-/** Exponentially weighted moving average: y += alpha * (x - y). */
-class EwmaAverage
-{
-  public:
-    explicit EwmaAverage(double alpha);
-
-    void add(double x);
-    double average() const { return value_; }
-    bool empty() const { return empty_; }
-    void reset();
-
-  private:
-    double alpha_;
-    double value_ = 0.0;
-    bool empty_ = true;
-};
-
 /** Uniform-bin histogram over [lo, hi) with under/overflow bins. */
 class Histogram
 {
@@ -120,13 +88,8 @@ class Histogram
 
     void add(double x);
 
-    std::uint64_t binCount(std::size_t bin) const;
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
     std::uint64_t total() const { return total_; }
     std::size_t bins() const { return counts_.size(); }
-    double binLow(std::size_t bin) const;
-    double binHigh(std::size_t bin) const;
 
     /** Linear-interpolated quantile estimate, q in [0, 1]. */
     double quantile(double q) const;
@@ -135,6 +98,8 @@ class Histogram
     std::string summary() const;
 
   private:
+    double binLow(std::size_t bin) const;
+
     double lo_, hi_;
     std::vector<std::uint64_t> counts_;
     std::uint64_t underflow_ = 0;

@@ -25,16 +25,6 @@ TextTable::addRule()
     rows_.push_back({{}, true});
 }
 
-std::size_t
-TextTable::rowCount() const
-{
-    std::size_t n = 0;
-    for (const auto &row : rows_)
-        if (!row.rule)
-            ++n;
-    return n;
-}
-
 void
 TextTable::print(std::ostream &os) const
 {
@@ -78,37 +68,6 @@ TextTable::print(std::ostream &os) const
         else
             emit(row.cells);
     }
-}
-
-void
-TextTable::printCsv(std::ostream &os) const
-{
-    auto quote = [](const std::string &s) {
-        if (s.find_first_of(",\"\n") == std::string::npos)
-            return s;
-        std::string out = "\"";
-        for (char ch : s) {
-            if (ch == '"')
-                out += "\"\"";
-            else
-                out += ch;
-        }
-        out += '"';
-        return out;
-    };
-    auto emit = [&](const std::vector<std::string> &cells) {
-        for (std::size_t c = 0; c < cells.size(); ++c) {
-            if (c)
-                os << ',';
-            os << quote(cells[c]);
-        }
-        os << '\n';
-    };
-    if (!header_.empty())
-        emit(header_);
-    for (const auto &row : rows_)
-        if (!row.rule)
-            emit(row.cells);
 }
 
 std::string

@@ -32,14 +32,8 @@ class TextTable
     /** Append a horizontal-rule row. */
     void addRule();
 
-    /** Number of data rows added (rules excluded). */
-    std::size_t rowCount() const;
-
     /** Render with aligned columns to the given stream. */
     void print(std::ostream &os) const;
-
-    /** Render as CSV (rules skipped, cells quoted when needed). */
-    void printCsv(std::ostream &os) const;
 
   private:
     std::vector<std::string> header_;

@@ -91,24 +91,6 @@ simulateClosedLoop(const PidConfig &cfg, const FopdtPlant &plant,
     return resp;
 }
 
-bool
-isClosedLoopStable(const PidConfig &cfg, const FopdtPlant &plant)
-{
-    PidConfig wide = cfg;
-    wide.out_min = -1e12;
-    wide.out_max = 1e12;
-    if (wide.setpoint == 0.0)
-        wide.setpoint = 1.0;
-    StepResponse resp = simulateClosedLoop(wide, plant);
-    if (resp.diverged)
-        return false;
-    // Bounded and converging: the tail must be near the setpoint. The
-    // band is wide enough to admit the steady-state offset of a pure
-    // proportional controller on a self-regulating plant.
-    return std::abs(resp.steady_state_error)
-        < 0.5 * std::abs(wide.setpoint) + 1e-9;
-}
-
 double
 worstCaseOvershoot(const PidConfig &cfg, const FopdtPlant &plant)
 {

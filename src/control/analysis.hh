@@ -51,12 +51,6 @@ StepResponse simulateClosedLoop(const PidConfig &cfg,
                                 const FopdtPlant &plant,
                                 const ClosedLoopSpec &spec = {});
 
-/**
- * @return true when the closed loop is stable in simulation (no
- * divergence and bounded oscillation at the end of the horizon).
- */
-bool isClosedLoopStable(const PidConfig &cfg, const FopdtPlant &plant);
-
 /** Gain margin of loop C(s)P(s) estimated by frequency sweep (dB). */
 double gainMarginDb(const PidConfig &cfg, const FopdtPlant &plant);
 

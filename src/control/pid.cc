@@ -28,13 +28,11 @@ PidController::reset()
     derivative_ = 0.0;
     output_ = cfg_.out_max;
     primed_ = false;
-    steps_ = 0;
 }
 
 double
 PidController::update(double measurement)
 {
-    ++steps_;
     const double error = cfg_.setpoint - measurement;
 
     // Derivative on the measurement (sign-flipped), filtered.

@@ -76,19 +76,10 @@ class PidController
     /** @return the most recent output (out_max before the first step). */
     double output() const { return output_; }
 
-    /** @return accumulated integral term contribution (Ki * integral). */
-    double integralTerm() const { return integral_; }
-
     /** Reset dynamic state (integral, derivative history). */
     void reset();
 
-    /** Change the setpoint without disturbing the integral state. */
-    void setSetpoint(double sp) { cfg_.setpoint = sp; }
-
     const PidConfig &config() const { return cfg_; }
-
-    /** Number of update() calls since construction/reset. */
-    std::uint64_t steps() const { return steps_; }
 
   private:
     PidConfig cfg_;
@@ -97,7 +88,6 @@ class PidController
     double derivative_ = 0.0;     ///< filtered derivative of measurement
     double output_ = 0.0;
     bool primed_ = false;
-    std::uint64_t steps_ = 0;
 };
 
 } // namespace thermctl

@@ -28,39 +28,35 @@ identical(const TemperatureVector &a, const TemperatureVector &b)
 
 } // namespace
 
-std::string
-FailsafePolicy::inspect(const TemperatureVector &sensed)
+bool
+FailsafePolicy::implausible(const TemperatureVector &sensed)
 {
     // The check:: primitives panic on violation; the failsafe exists to
-    // keep running through bad data, so it uses plain predicates.
+    // keep running through bad data, so it uses plain predicates: a
+    // non-finite reading, one outside the plausible range, or a stuck
+    // sensor (too many identical consecutive samples).
     for (const Celsius &t : sensed.value) {
-        if (!std::isfinite(t.value()))
-            return "non-finite sensor reading";
-        if (t < cfg_.min_plausible)
-            return "reading below plausible range";
-        if (t > cfg_.max_plausible)
-            return "reading above plausible range";
+        if (!std::isfinite(t.value()) || t < cfg_.min_plausible
+            || t > cfg_.max_plausible)
+            return true;
     }
     if (have_prev_ && identical(sensed, prev_)) {
         identical_run_++;
         if (cfg_.stuck_samples > 0 && identical_run_ >= cfg_.stuck_samples)
-            return "sensor stuck (" + std::to_string(identical_run_)
-                + " identical consecutive samples)";
+            return true;
     } else {
         identical_run_ = 0;
     }
     prev_ = sensed;
     have_prev_ = true;
-    return {};
+    return false;
 }
 
 DtmCommand
 FailsafePolicy::onSample(const TemperatureVector &sensed, Cycle now)
 {
-    if (!tripped_) {
-        reason_ = inspect(sensed);
-        tripped_ = !reason_.empty();
-    }
+    if (!tripped_)
+        tripped_ = implausible(sensed);
     if (tripped_) {
         // Paper fallback: full fetch toggling. Duty 0 bounds the
         // temperature regardless of what the sensors claim.
@@ -81,7 +77,6 @@ void
 FailsafePolicy::reset()
 {
     tripped_ = false;
-    reason_.clear();
     have_prev_ = false;
     identical_run_ = 0;
     inner_->reset();

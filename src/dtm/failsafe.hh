@@ -62,20 +62,13 @@ class FailsafePolicy : public DtmPolicy
     std::string name() const override;
     void reset() override;
 
-    /** @return true once the fallback has latched. */
-    bool tripped() const { return tripped_; }
-
-    /** Human-readable cause of the trip (empty until tripped). */
-    const std::string &reason() const { return reason_; }
-
   private:
-    /** @return non-empty reason when `sensed` is implausible. */
-    std::string inspect(const TemperatureVector &sensed);
+    /** @return true when `sensed` is implausible. */
+    bool implausible(const TemperatureVector &sensed);
 
     std::unique_ptr<DtmPolicy> inner_;
     FailsafeConfig cfg_;
     bool tripped_ = false;
-    std::string reason_;
     TemperatureVector prev_{};
     bool have_prev_ = false;
     std::uint64_t identical_run_ = 0;

@@ -112,7 +112,6 @@ class DtmManager
     void resetStats() { stats_ = DtmStats{}; }
 
     DtmPolicy &policy() { return *policy_; }
-    const FetchToggler &toggler() const { return toggler_; }
     const DtmConfig &config() const { return cfg_; }
 
   private:

@@ -110,8 +110,6 @@ class TriggeredPolicy : public DtmPolicy
     std::string name() const override { return name_; }
     void reset() override;
 
-    bool engaged() const { return engaged_; }
-
   protected:
     /** The actuator settings applied while engaged. */
     virtual DtmCommand engagedCommand() const = 0;
@@ -220,8 +218,6 @@ class HierarchicalPolicy : public DtmPolicy
     std::string name() const override;
     void reset() override;
 
-    bool backupEngaged() const { return engaged_; }
-
   private:
     std::unique_ptr<DtmPolicy> primary_;
     Celsius backup_trigger_;
@@ -267,8 +263,6 @@ class CtPolicy : public DtmPolicy
                         Cycle now) override;
     std::string name() const override;
     void reset() override;
-
-    const PidController &controller() const { return controller_; }
 
   private:
     ControllerKind kind_;

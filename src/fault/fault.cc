@@ -220,7 +220,6 @@ FaultInjector::arm(const FaultPlan &plan)
 {
     MutexLock lock(mutex_);
     states_.clear();
-    fired_.clear();
     states_.reserve(plan.rules.size());
     for (const FaultRule &rule : plan.rules) {
         RuleState state;
@@ -262,7 +261,6 @@ FaultInjector::decide(std::string_view site)
         if (!fire)
             continue;
         ++state.fires;
-        fired_.push_back({std::string(site), hit, state.rule.kind});
         FaultDecision decision;
         decision.kind = state.rule.kind;
         decision.stall_ms = state.rule.stall_ms;
@@ -271,18 +269,14 @@ FaultInjector::decide(std::string_view site)
     return FaultDecision{};
 }
 
-std::vector<FiredFault>
-FaultInjector::firedLog() const
-{
-    MutexLock lock(mutex_);
-    return fired_;
-}
-
 std::uint64_t
 FaultInjector::firedCount() const
 {
     MutexLock lock(mutex_);
-    return fired_.size();
+    std::uint64_t fired = 0;
+    for (const RuleState &state : states_)
+        fired += state.fires;
+    return fired;
 }
 
 } // namespace thermctl::fault

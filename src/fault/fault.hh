@@ -70,7 +70,6 @@ struct FaultDecision
     FaultKind kind = FaultKind::None;
     std::uint32_t stall_ms = 0;
 
-    constexpr bool fired() const { return kind != FaultKind::None; }
     constexpr bool abort() const { return kind == FaultKind::Abort; }
     constexpr bool shortIo() const { return kind == FaultKind::ShortIo; }
     constexpr bool eintr() const { return kind == FaultKind::Eintr; }
@@ -108,14 +107,6 @@ struct FaultPlan
     std::string describe() const;
 };
 
-/** Journal entry: one decision taken at a site (fired or not). */
-struct FiredFault
-{
-    std::string site;
-    std::uint64_t hit = 0; ///< 1-based per-site hit index
-    FaultKind kind = FaultKind::None;
-};
-
 /**
  * Process-wide fault injector. Disarmed by default; arm() installs a
  * plan, disarm() removes it. probe() is the hot path: one relaxed
@@ -140,9 +131,6 @@ class FaultInjector
         return decide(site);
     }
 
-    /** Fired-fault journal since the last arm() (fired entries only). */
-    std::vector<FiredFault> firedLog() const;
-
     /** Number of faults fired since the last arm(). */
     std::uint64_t firedCount() const;
 
@@ -162,7 +150,6 @@ class FaultInjector
     std::atomic<bool> armed_{false};
     mutable Mutex mutex_;
     std::vector<RuleState> states_ THERMCTL_GUARDED_BY(mutex_);
-    std::vector<FiredFault> fired_ THERMCTL_GUARDED_BY(mutex_);
 };
 
 } // namespace thermctl::fault

@@ -259,14 +259,6 @@ ChipModel::warmStart(const std::vector<PowerVector> &power)
 }
 
 void
-ChipModel::setUniform(Celsius t)
-{
-    for (TemperatureVector &tv : temps_)
-        tv.value.fill(t);
-    t_sink_ = t;
-}
-
-void
 ChipModel::setTemperatures(std::size_t core, const TemperatureVector &temps)
 {
     temps_.at(core) = temps;

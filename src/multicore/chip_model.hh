@@ -70,9 +70,6 @@ class ChipModel
      *  (coupling and tangential flows neglected — warm-start only). */
     void warmStart(const std::vector<PowerVector> &power);
 
-    /** Set every block of every core and the sink to `t`. */
-    void setUniform(Celsius t);
-
     /** Copy one core's block temperatures (e.g. from a simplified-model
      *  state); the sink keeps its current temperature. */
     void setTemperatures(std::size_t core, const TemperatureVector &temps);

@@ -127,6 +127,9 @@ MulticoreSimulator::run(std::uint64_t nominal_cycles)
         if ((since_sample_ += segment) >= interval)
             sample();
     }
+    // Core commit counters reset together with stats_, so the running
+    // total is the measurement-window total.
+    stats_.committed = committedTotal();
 }
 
 void
@@ -262,9 +265,6 @@ MulticoreSimulator::sample()
     for (const auto &unit : cores_)
         stats_.freq_scale_sum += unit->ladder.freqScale();
     ++stats_.samples;
-    // Core commit counters reset together with stats_, so the running
-    // total is the measurement-window total (refreshed per sample).
-    stats_.committed = committedTotal();
 
     for (const auto &unit : cores_)
         unit->window_power = PowerVector{};
@@ -325,6 +325,9 @@ MulticoreSimulator::committedTotal() const
     return total;
 }
 
+namespace
+{
+
 RunResult
 runMulticoreOne(const SimConfig &cfg, const RunProtocol &proto)
 {
@@ -344,10 +347,10 @@ runMulticoreOne(const SimConfig &cfg, const RunProtocol &proto)
     // nominal cycle is one period of wall time, so committed / nominal
     // charges DVFS slowdown exactly like measuredPerformance() does.
     r.ipc = nom > 0.0
-        ? static_cast<double>(sim.committedTotal()) / nom
+        ? static_cast<double>(s.committed) / nom
         : 0.0;
     r.raw_ipc = s.executed_cycles
-        ? static_cast<double>(sim.committedTotal())
+        ? static_cast<double>(s.committed)
             / static_cast<double>(s.executed_cycles)
         : 0.0;
     double p_total = 0.0;
@@ -382,6 +385,8 @@ runMulticoreOne(const SimConfig &cfg, const RunProtocol &proto)
     }
     return r;
 }
+
+} // namespace
 
 void
 ensureBackendRegistered()

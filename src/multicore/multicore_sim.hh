@@ -53,7 +53,7 @@ struct ChipStats
 {
     std::uint64_t nominal_cycles = 0;
     std::uint64_t executed_cycles = 0;  ///< summed over cores
-    std::uint64_t committed = 0;        ///< summed over cores
+    std::uint64_t committed = 0;        ///< summed over cores, per run()
     std::uint64_t emergency_cycles = 0; ///< any block of any core above
     std::uint64_t stress_cycles = 0;
     std::uint64_t samples = 0;
@@ -86,10 +86,6 @@ class MulticoreSimulator
     void resetMeasurement();
 
     const ChipStats &stats() const { return stats_; }
-
-    /** Committed instructions summed over cores (measurement window). */
-    std::uint64_t committedTotal() const;
-    const ChipModel &chip() const { return chip_; }
     const SimConfig &config() const { return cfg_; }
     std::size_t numCores() const { return cores_.size(); }
 
@@ -135,6 +131,9 @@ class MulticoreSimulator
     /** Highest ladder level whose power scale fits under `cap`. */
     std::uint32_t capLevel(Watts full_speed_demand, Watts cap) const;
 
+    /** Committed instructions summed over cores (measurement window). */
+    std::uint64_t committedTotal() const;
+
     SimConfig cfg_;
     Floorplan floorplan_;
     PowerModel power_;
@@ -154,17 +153,12 @@ class MulticoreSimulator
 };
 
 /**
- * The engine backend: run one multicore config under the standard
- * warm-up/measure protocol and aggregate chip metrics into the
- * single-core RunResult shape (per-structure details are means/maxima
- * across cores; powers are chip totals).
- */
-RunResult runMulticoreOne(const SimConfig &cfg, const RunProtocol &proto);
-
-/**
- * Install runMulticoreOne as the engine's multicore backend.
- * Idempotent; every entry point that may see multicore configs calls
- * this at startup (tool mains, Scheduler, benches, tests).
+ * Install the engine's multicore backend, which runs one multicore
+ * config under the warm-up/measure protocol and aggregates chip metrics
+ * into the single-core RunResult shape (per-structure details are
+ * means/maxima across cores; powers are chip totals). Idempotent;
+ * every entry point that may see multicore configs calls this at
+ * startup (tool mains, Scheduler, benches, tests).
  */
 void ensureBackendRegistered();
 

@@ -23,7 +23,6 @@ decodeDepth(std::uint32_t rows)
 
 ArrayEnergyModel::ArrayEnergyModel(const ArrayGeometry &geom,
                                    const Technology &tech)
-    : geom_(geom)
 {
     if (geom.rows == 0 || geom.cols_bits == 0)
         fatal("ArrayEnergyModel: geometry must be non-empty");
@@ -83,16 +82,8 @@ ArrayEnergyModel::ArrayEnergyModel(const ArrayGeometry &geom,
         * (e_decode + e_wordline + e_bitline_write);
 }
 
-double
-ArrayEnergyModel::peakCycleEnergy() const
-{
-    return geom_.read_ports * read_energy_j_
-        + geom_.write_ports * write_energy_j_;
-}
-
 CamEnergyModel::CamEnergyModel(const CamGeometry &geom,
                                const Technology &tech)
-    : geom_(geom)
 {
     if (geom.entries == 0 || geom.tag_bits == 0)
         fatal("CamEnergyModel: geometry must be non-empty");
@@ -129,13 +120,6 @@ CamEnergyModel::CamEnergyModel(const CamGeometry &geom,
     ram.read_ports = 1;
     ArrayEnergyModel ram_model(ram, tech);
     write_energy_j_ = ram_model.writeEnergy();
-}
-
-double
-CamEnergyModel::peakCycleEnergy() const
-{
-    return geom_.search_ports * search_energy_j_
-        + geom_.write_ports * write_energy_j_;
 }
 
 } // namespace thermctl

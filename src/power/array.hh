@@ -61,16 +61,7 @@ class ArrayEnergyModel
     /** @return energy of one write access in Joules. */
     double writeEnergy() const { return write_energy_j_; }
 
-    /**
-     * @return maximum energy in one cycle (all read and write ports
-     * firing), in Joules.
-     */
-    double peakCycleEnergy() const;
-
-    const ArrayGeometry &geometry() const { return geom_; }
-
   private:
-    ArrayGeometry geom_;
     double read_energy_j_ = 0.0;
     double write_energy_j_ = 0.0;
 };
@@ -91,13 +82,7 @@ class CamEnergyModel
     /** @return energy of one entry write in Joules. */
     double writeEnergy() const { return write_energy_j_; }
 
-    /** @return maximum energy in one cycle, all ports firing. */
-    double peakCycleEnergy() const;
-
-    const CamGeometry &geometry() const { return geom_; }
-
   private:
-    CamGeometry geom_;
     double search_energy_j_ = 0.0;
     double write_energy_j_ = 0.0;
 };

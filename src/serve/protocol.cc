@@ -48,14 +48,17 @@ encodePoint(ByteWriter &w, const PointSpec &p)
 }
 
 /**
- * Validate the multicore knobs of a decoded PointSpec.
+ * Validate the knobs of a decoded PointSpec.
  * Rejecting here (before any config is built) keeps a hostile
- * num_cores from ever sizing an allocation and turns out-of-range
- * values into a typed BadRequest instead of a server-side fatal.
+ * num_cores from ever sizing an allocation, keeps a non-finite
+ * setpoint from simulating to nonsense, and turns out-of-range values
+ * into a typed BadRequest instead of a server-side fatal.
  */
 bool
-multicoreKnobsValid(const PointSpec &p)
+knobsValid(const PointSpec &p)
 {
+    if (!std::isfinite(p.ct_setpoint))
+        return false;
     if (p.num_cores > kMaxCores)
         return false;
     if (!std::isfinite(p.coupling_r) || p.coupling_r < 0.0)
@@ -77,7 +80,7 @@ decodeKnobs(ByteReader &r, PointSpec &p)
     p.coupling_r = r.f64();
     p.chip_budget = r.f64();
     p.budget_policy = r.u8();
-    return r.ok() && multicoreKnobsValid(p);
+    return r.ok() && knobsValid(p);
 }
 
 bool

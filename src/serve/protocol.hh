@@ -149,10 +149,10 @@ class FrameAssembler
     [[nodiscard]] Next next(MsgType &type, std::string &payload,
                             FrameStatus *why = nullptr);
 
-    /** Bytes buffered but not yet consumed (flow-control input). */
+  private:
+    /** Bytes buffered but not yet consumed. */
     std::size_t buffered() const { return buf_.size() - pos_; }
 
-  private:
     std::string buf_;
     std::size_t pos_ = 0; ///< consumed prefix of buf_
     bool bad_ = false;

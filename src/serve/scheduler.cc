@@ -47,7 +47,7 @@ resolvePoint(const PointSpec &spec, const SimConfig &base)
     if (spec.sample_interval != 0)
         pt.config.dtm.sample_interval = spec.sample_interval;
     // Multicore knobs: zero keeps the server-side config default. The
-    // values were range-checked at decode time (multicoreKnobsValid).
+    // values were range-checked at decode time (knobsValid).
     if (spec.num_cores != 0)
         pt.config.multicore.num_cores = spec.num_cores;
     if (spec.coupling_r != 0.0)

@@ -100,6 +100,49 @@ collectRunResult(const Simulator &sim)
     return result;
 }
 
+BoxcarWindows
+runBoxcarProxies(const WorkloadProfile &profile, const RunProtocol &proto,
+                 BoxcarProxyKind kind)
+{
+    SimConfig cfg;
+    cfg.workload = profile;
+    Simulator sim(cfg);
+    const Celsius t_emergency = cfg.thermal.t_emergency;
+    // Only `kind`'s proxies are built and fed, one per window.
+    std::vector<StructureBoxcarProxy> structure;
+    std::vector<ChipBoxcarProxy> chip;
+    for (std::size_t window : {10000, 500000}) {
+        if (kind == BoxcarProxyKind::Chip)
+            chip.emplace_back(window, 47.0);
+        else
+            structure.emplace_back(sim.floorplan(), cfg.thermal, window,
+                                   t_emergency);
+    }
+    sim.warmUp(proto.warmup_cycles);
+
+    BoxcarWindows run;
+    ProxyComparison *const windows[] = {&run.small, &run.large};
+    const TemperatureVector &temps = sim.thermal().temperatures();
+    for (std::uint64_t c = 0; c < proto.measure_cycles; ++c) {
+        sim.tick();
+        const PowerVector &p = sim.lastPower();
+        for (std::size_t w = 0; w < chip.size(); ++w) {
+            chip[w].add(p.total());
+            windows[w]->record(temps.maxHotspot() > t_emergency,
+                               chip[w].triggered());
+        }
+        for (std::size_t w = 0; w < structure.size(); ++w) {
+            structure[w].add(p);
+            for (std::size_t i = 0; i < kNumHotspotStructures; ++i) {
+                const auto id = static_cast<StructureId>(i);
+                windows[w]->record(temps[id] > t_emergency,
+                                   structure[w].triggered(id));
+            }
+        }
+    }
+    return run;
+}
+
 ThermalCategory
 classifyThermalBehaviour(const RunResult &run)
 {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sim/simulator.hh"
+#include "thermal/boxcar.hh"
 
 namespace thermctl
 {
@@ -87,6 +88,30 @@ bool needsMulticoreEngine(const SimConfig &cfg);
  * both assemble their RunResult here.
  */
 RunResult collectRunResult(const Simulator &sim);
+
+/** The power proxies of the paper's Section 6 boxcar comparison. */
+enum class BoxcarProxyKind
+{
+    Structure, ///< per structure, triggered at the emergency's power
+    Chip,      ///< chip-wide, triggered at the prior work's 47 W
+};
+
+/** One proxy kind's comparisons at the 10 K- and 500 K-cycle windows. */
+struct BoxcarWindows
+{
+    ProxyComparison small; ///< 10 K-cycle window
+    ProxyComparison large; ///< 500 K-cycle window
+};
+
+/**
+ * Run `profile` without DTM under `proto` and, every measured cycle,
+ * compare the RC model's emergencies against `kind` boxcar proxies
+ * (Table 9: one record per hotspot structure; Table 10: one per cycle
+ * against the hottest structure).
+ */
+BoxcarWindows runBoxcarProxies(const WorkloadProfile &profile,
+                               const RunProtocol &proto,
+                               BoxcarProxyKind kind);
 
 /** Executes runs under a fixed protocol. */
 class ExperimentRunner

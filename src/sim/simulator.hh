@@ -133,9 +133,6 @@ class Simulator
      */
     double measuredPerformance() const;
 
-    /** Current clock scale in (0, 1]; 1 = nominal frequency. */
-    double clockScale() const { return freq_scale_; }
-
   private:
     SimConfig cfg_;
     std::unique_ptr<InstructionStream> workload_;

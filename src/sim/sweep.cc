@@ -507,8 +507,12 @@ SweepResults::at(std::string_view workload, std::string_view policy,
 
 SweepEngine::SweepEngine(const SweepOptions &opts) : opts_(opts) {}
 
+namespace
+{
+
+/** @return THERMCTL_JOBS when set (>=1), else hardware_concurrency. */
 unsigned
-SweepEngine::defaultJobs()
+defaultJobs()
 {
     if (const char *env = std::getenv("THERMCTL_JOBS")) {
         unsigned v = 0;
@@ -524,6 +528,8 @@ SweepEngine::defaultJobs()
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
 }
+
+} // namespace
 
 std::string
 SweepOptions::effectiveCacheDir() const

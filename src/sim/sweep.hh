@@ -172,7 +172,7 @@ struct SweepOptions
 {
     /**
      * Most points run at once (the width of the parallelFor call);
-     * 0 = defaultJobs() (THERMCTL_JOBS or all cores).
+     * 0 = THERMCTL_JOBS, or all cores when unset.
      */
     unsigned jobs = 0;
 
@@ -232,9 +232,6 @@ class SweepEngine
 
     /** @return how many points of a grid this size run at once. */
     unsigned effectiveJobs(std::size_t grid_size) const;
-
-    /** @return THERMCTL_JOBS when set (>=1), else hardware_concurrency. */
-    static unsigned defaultJobs();
 
     /**
      * @return the options of a command-line front end before any flag:

@@ -37,18 +37,6 @@ StructureBoxcarProxy::triggered(StructureId id) const
     return averages_[i].average() > trigger_power_[i];
 }
 
-Watts
-StructureBoxcarProxy::triggerPower(StructureId id) const
-{
-    return trigger_power_[static_cast<std::size_t>(id)];
-}
-
-Watts
-StructureBoxcarProxy::averagePower(StructureId id) const
-{
-    return averages_[static_cast<std::size_t>(id)].average();
-}
-
 std::size_t
 StructureBoxcarProxy::window() const
 {

@@ -44,12 +44,6 @@ class StructureBoxcarProxy
     /** @return true if the proxy considers this block triggered. */
     bool triggered(StructureId id) const;
 
-    /** @return the equivalent trigger power for a block, Watts. */
-    Watts triggerPower(StructureId id) const;
-
-    /** @return current windowed average power of a block. */
-    Watts averagePower(StructureId id) const;
-
     std::size_t window() const;
 
   private:
@@ -67,8 +61,6 @@ class ChipBoxcarProxy
     void add(Watts total_power);
 
     bool triggered() const;
-    Watts averagePower() const { return avg_.average(); }
-    Watts triggerWatts() const { return trigger_watts_; }
     std::size_t window() const { return avg_.window(); }
 
   private:

@@ -14,6 +14,12 @@ namespace thermctl
 namespace
 {
 
+double
+areaMm2(const BlockRect &r)
+{
+    return r.w_mm * r.h_mm;
+}
+
 /** Shared-edge length between two rectangles in millimetres (0 if not
  *  adjacent). */
 double
@@ -80,7 +86,7 @@ Floorplan::Floorplan(const FloorplanConfig &cfg) : cfg_(cfg)
 
     for (StructureId id : kAllStructures) {
         const std::size_t i = static_cast<std::size_t>(id);
-        const double area_m2 = units::mm2ToM2(rects_[i].areaMm2());
+        const double area_m2 = units::mm2ToM2(areaMm2(rects_[i]));
         ThermalBlockParams &blk = blocks_[i];
         blk.id = id;
         blk.area_m2 = area_m2;
@@ -101,8 +107,8 @@ Floorplan::Floorplan(const FloorplanConfig &cfg) : cfg_(cfg)
             const double edge_mm = sharedEdgeMm(rects_[i], rects_[j]);
             if (edge_mm <= 0.0)
                 continue;
-            const double li = std::sqrt(rects_[i].areaMm2()) * 1e-3 / 2;
-            const double lj = std::sqrt(rects_[j].areaMm2()) * 1e-3 / 2;
+            const double li = std::sqrt(areaMm2(rects_[i])) * 1e-3 / 2;
+            const double lj = std::sqrt(areaMm2(rects_[j])) * 1e-3 / 2;
             const double section =
                 edge_mm * 1e-3 * cfg.die_thickness_m;
             const double r_tan = rho * (li + lj) / section;
@@ -129,7 +135,7 @@ Floorplan::dieAreaMm2() const
 {
     double total = 0.0;
     for (const auto &r : rects_)
-        total += r.areaMm2();
+        total += areaMm2(r);
     return total;
 }
 
@@ -175,19 +181,6 @@ Floorplan::loadFlp(const std::string &path)
     for (StructureId id : kAllStructures) {
         if (!seen[static_cast<std::size_t>(id)])
             fatal(path, ": missing block '", structureName(id), "'");
-    }
-}
-
-void
-Floorplan::writeFlp(std::ostream &os) const
-{
-    os << "# ThermalCtl floorplan (HotSpot .flp format)\n"
-       << "# name\twidth_m\theight_m\tleft_x_m\tbottom_y_m\n";
-    for (StructureId id : kAllStructures) {
-        const auto &r = rects_[static_cast<std::size_t>(id)];
-        os << structureName(id) << '\t' << r.w_mm * 1e-3 << '\t'
-           << r.h_mm * 1e-3 << '\t' << r.x_mm * 1e-3 << '\t'
-           << r.y_mm * 1e-3 << '\n';
     }
 }
 

@@ -20,7 +20,6 @@
 #define THERMCTL_THERMAL_FLOORPLAN_HH
 
 #include <array>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -37,8 +36,6 @@ struct BlockRect
     double y_mm = 0.0;
     double w_mm = 0.0;
     double h_mm = 0.0;
-
-    double areaMm2() const { return w_mm * h_mm; }
 };
 
 /** Thermal parameters of one block. */
@@ -105,10 +102,6 @@ class Floorplan
     explicit Floorplan(const FloorplanConfig &cfg = {});
 
     const ThermalBlockParams &block(StructureId id) const;
-    const std::array<ThermalBlockParams, kNumStructures> &blocks() const
-    {
-        return blocks_;
-    }
 
     const BlockRect &rect(StructureId id) const;
 
@@ -122,12 +115,6 @@ class Floorplan
 
     /** Total die area in mm^2. */
     double dieAreaMm2() const;
-
-    /**
-     * Write the placement in HotSpot .flp format
-     * (`name width_m height_m left_x_m bottom_y_m`).
-     */
-    void writeFlp(std::ostream &os) const;
 
   private:
     /** Parse a HotSpot .flp file into rects_ (fatal on bad input). */

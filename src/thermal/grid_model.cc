@@ -143,22 +143,6 @@ GridThermalModel::stepSpan(const PowerVector &power, std::uint64_t cycles)
     dt_ = saved_dt;
 }
 
-void
-GridThermalModel::setUniform(Celsius t)
-{
-    std::fill(temps_.begin(), temps_.end(), t);
-}
-
-Celsius
-GridThermalModel::cellAt(double x_mm, double y_mm) const
-{
-    auto ix = static_cast<std::uint32_t>(
-        std::clamp(x_mm / cell_mm_, 0.0, n_ - 1.0));
-    auto iy = static_cast<std::uint32_t>(
-        std::clamp(y_mm / cell_mm_, 0.0, n_ - 1.0));
-    return temps_[index(ix, iy)];
-}
-
 Celsius
 GridThermalModel::blockMax(StructureId id) const
 {
@@ -195,12 +179,6 @@ GridThermalModel::blockGradient(StructureId id) const
         }
     }
     return hi >= lo ? hi - lo : Kelvin(0.0);
-}
-
-Celsius
-GridThermalModel::dieMax() const
-{
-    return *std::max_element(temps_.begin(), temps_.end());
 }
 
 } // namespace thermctl

@@ -50,12 +50,6 @@ class GridThermalModel
      */
     void stepSpan(const PowerVector &power, std::uint64_t cycles);
 
-    /** Set every cell to the given temperature. */
-    void setUniform(Celsius t);
-
-    /** Temperature of the cell containing die position (x, y) in mm. */
-    Celsius cellAt(double x_mm, double y_mm) const;
-
     /** Hottest cell within a block. */
     Celsius blockMax(StructureId id) const;
 
@@ -64,9 +58,6 @@ class GridThermalModel
 
     /** Max minus min cell temperature within a block. */
     Celsius blockGradient(StructureId id) const;
-
-    /** Hottest cell anywhere on the die. */
-    Celsius dieMax() const;
 
   private:
     std::size_t index(std::uint32_t ix, std::uint32_t iy) const

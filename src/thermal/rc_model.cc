@@ -94,12 +94,6 @@ SimplifiedRCModel::warmStart(const PowerVector &power)
                                            "SimplifiedRCModel::warmStart"));
 }
 
-void
-SimplifiedRCModel::setUniform(Celsius t)
-{
-    temps_.value.fill(t);
-}
-
 Celsius
 SimplifiedRCModel::steadyState(StructureId id, Watts p) const
 {

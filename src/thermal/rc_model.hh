@@ -113,9 +113,6 @@ class SimplifiedRCModel
     /** Jump every block to its steady state under the given power. */
     void warmStart(const PowerVector &power);
 
-    /** Set every block to the given temperature. */
-    void setUniform(Celsius t);
-
     const TemperatureVector &temperatures() const { return temps_; }
 
     /** Steady-state temperature of a block at the given power. */
@@ -151,10 +148,10 @@ class ChipLevelModel
 
     Celsius temperature() const { return temp_; }
 
+  private:
     /** @return the chip-level time constant R*C. */
     Seconds timeConstant() const { return r_ * c_; }
 
-  private:
     KelvinPerWatt r_;
     JoulePerKelvin c_;
     Celsius ambient_;

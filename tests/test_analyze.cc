@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -509,6 +510,7 @@ TEST(DataflowStructs, IndexesFieldsSkippingMethodsAndNestedTypes)
         "struct Outer {\n"
         "    using Clock = int;\n"
         "    static int shared;\n"
+        "    static int make() { return 1; }\n"
         "    std::uint32_t count = 1'000;\n"
         "    double rate = 0.5, scale = 2.0;\n"
         "    std::vector<int> slots;\n"
@@ -534,6 +536,41 @@ TEST(DataflowStructs, IndexesFieldsSkippingMethodsAndNestedTypes)
                                                "slots", "inner"}));
     ASSERT_EQ(inner->fields.size(), 1u);
     EXPECT_EQ(inner->fields[0].name, "depth");
+    names.clear();
+    for (const DeclDef &m : outer->methods)
+        names.push_back(m.name);
+    EXPECT_EQ(names, (std::vector<std::string>{"make", "tick", "empty"}));
+}
+
+TEST(DataflowStructs, ExportedSurfaceFollowsScopesAndAccess)
+{
+    const auto toks = thermctl::lint::tokenize(
+        "#define W_HH \\\n  int notAFunction();\n"
+        "namespace a {\n"
+        "namespace { int hidden(); }\n"
+        "class W final : public Base<int> {\n"
+        "    int priv();\n"
+        "  public:\n"
+        "    W() = default;\n"
+        "    ~W();\n"
+        "    static W make();\n"
+        "    template <typename T> T as() const { return T(); }\n"
+        "    void gone() = delete;\n"
+        "    bool operator==(const W &) const;\n"
+        "    int count THERMCTL_GUARDED_BY(mu);\n"
+        "    struct Part { int size() const; };\n"
+        "  private:\n"
+        "    struct Hidden { int h(); };\n"
+        "};\n"
+        "inline int W::priv() { return 1; }\n"
+        "int freeFn();\n"
+        "}\n");
+    std::vector<std::string> names;
+    for (const DeclDef &d : indexExported(toks))
+        names.push_back(d.name);
+    EXPECT_EQ(names, (std::vector<std::string>{"W", "W::make", "W::as",
+                                               "W::Part", "W::Part::size",
+                                               "freeFn"}));
 }
 
 // ------------------------------------------------------------ alloc-bound
@@ -660,6 +697,72 @@ TEST(DataflowRegression, DroppingADigestFeedLineFailsFieldCoverage)
               std::string::npos);
 }
 
+// ---------------------------------------------------------- dead-surface
+
+namespace
+{
+
+const std::vector<std::string> kWidgetTree = {
+    "deadsurface/src/widget/widget.hh", "deadsurface/src/widget/widget.cc",
+    "deadsurface/tools/use_widget.cc", "deadsurface/perf/bench_widget.cc",
+    "deadsurface/tests/test_widget.cc"};
+
+/** symbol -> the finding's kind ("dead" or "internal"). */
+std::map<std::string, std::string>
+deadSurface(const std::vector<std::string> &files)
+{
+    std::map<std::string, std::string> out;
+    for (const Finding &f :
+         checkDeadSurface(ProjectModel::build(loadFixtures(files)))) {
+        EXPECT_EQ(f.rule, "dead-surface");
+        EXPECT_EQ(f.file, "deadsurface/src/widget/widget.hh");
+        out[f.symbol] = f.message.substr(0, f.message.find(':'));
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(AnalyzePasses, DeadSurfaceFlagsTestOnlyAndInternalSymbols)
+{
+    // live() (tools/), perfHook() (perf/), widgetCount() and the class
+    // itself are clean; the private secret() is never reported.
+    const std::map<std::string, std::string> expected = {
+        {"Widget::onlyTested", "dead"},
+        {"Widget::allowedHook", "dead"},
+        {"Widget::helper", "internal"}};
+    EXPECT_EQ(deadSurface(kWidgetTree), expected);
+}
+
+TEST(AnalyzePasses, DeadSurfaceCountsPerfAsACaller)
+{
+    std::vector<std::string> without_perf = kWidgetTree;
+    without_perf.erase(std::find(without_perf.begin(), without_perf.end(),
+                                 "deadsurface/perf/bench_widget.cc"));
+    EXPECT_EQ(deadSurface(without_perf).count("Widget::perfHook"), 1u);
+}
+
+TEST(AnalyzeAllowlist, DeadSurfaceEntriesNameOneSymbol)
+{
+    Allowlist allow;
+    std::string error;
+    ASSERT_TRUE(allow.parse("dead-surface src/widget/widget.hh "
+                            "Widget::allowedHook a test hook\n",
+                            error))
+        << error;
+    Finding hook{"x/src/widget/widget.hh", 12, "dead-surface", "dead: ...",
+                 "Widget::allowedHook"};
+    Finding other = hook;
+    other.symbol = "Widget::onlyTested";
+    EXPECT_TRUE(allow.allows(hook));
+    EXPECT_FALSE(allow.allows(other));
+
+    // A whole-file entry, or one without a justification, is malformed.
+    EXPECT_FALSE(allow.parse("dead-surface src/widget/widget.hh\n", error));
+    EXPECT_FALSE(allow.parse(
+        "dead-surface src/widget/widget.hh Widget::allowedHook\n", error));
+}
+
 // ------------------------------------------------------------ aggregate
 
 TEST(AnalyzeProject, CleanTreeHasNoFindings)
@@ -682,13 +785,13 @@ TEST(AnalyzeProject, CleanTreeHasNoFindings)
 TEST(AnalyzeProject, RuleIdsAreStable)
 {
     const std::vector<std::string> ids = analysisRuleIds();
-    ASSERT_EQ(ids.size(), 13u);
+    ASSERT_EQ(ids.size(), 14u);
     for (const char *id :
          {"raw-double-param", "using-namespace-header", "reader-bounds",
           "naked-mutex", "missing-thread-annotations", "fault-point-scope",
           "raw-number-parse", "layering", "include-cycle",
           "unchecked-return", "lock-order", "alloc-bound",
-          "field-coverage"})
+          "field-coverage", "dead-surface"})
         EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end()) << id;
 }
 
@@ -849,4 +952,43 @@ TEST(AnalyzeCli, ProjectRuleFindingsExitOneUnlessAllowlisted)
                          + (tmp.path / "partial").string() + " " + probe
                          + " >/dev/null 2>&1"),
               1);
+}
+
+TEST(AnalyzeCli, DeadSurfaceAllowEntriesAndCiStaleness)
+{
+    TempDir tmp;
+    writeText(tmp.path / "layers", "");
+    const std::string bin = std::string(THERMCTL_ANALYZE_BIN)
+                            + " --pass dead-surface --layers "
+                            + (tmp.path / "layers").string();
+    const std::string tree = fixtureRoot() + std::string("/deadsurface");
+    const std::string entries =
+        "dead-surface deadsurface/src/widget/widget.hh Widget::onlyTested "
+        "planted\n"
+        "dead-surface deadsurface/src/widget/widget.hh Widget::helper "
+        "planted\n";
+    auto run = [&](const std::string &allow_text, const char *flags) {
+        writeText(tmp.path / "allow", allow_text);
+        return runCommand(bin + flags + " --allowlist "
+                          + (tmp.path / "allow").string() + " " + tree
+                          + " >/dev/null 2>&1");
+    };
+
+    // Each entry suppresses exactly its own symbol: allowedHook is
+    // still reported until it gets an entry of its own.
+    EXPECT_EQ(run(entries, ""), 1);
+    const std::string all =
+        entries
+        + "dead-surface deadsurface/src/widget/widget.hh "
+          "Widget::allowedHook planted\n";
+    EXPECT_EQ(run(all, " --ci"), 0);
+
+    // An entry for a symbol the pass no longer reports is stale, which
+    // fails the run under --ci only.
+    const std::string stale =
+        all
+        + "dead-surface deadsurface/src/widget/widget.hh Widget::live "
+          "planted\n";
+    EXPECT_EQ(run(stale, ""), 0);
+    EXPECT_EQ(run(stale, " --ci"), 1);
 }

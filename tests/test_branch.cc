@@ -23,12 +23,12 @@ TEST(Counter2, SaturatesBothEnds)
     Counter2 c(0);
     for (int i = 0; i < 10; ++i)
         c.train(false);
-    EXPECT_EQ(c.raw(), 0);
     EXPECT_FALSE(c.taken());
     for (int i = 0; i < 10; ++i)
         c.train(true);
-    EXPECT_EQ(c.raw(), 3);
     EXPECT_TRUE(c.taken());
+    c.train(false);
+    EXPECT_TRUE(c.taken()); // saturated at 3: one flip is not enough
 }
 
 TEST(Counter2, HysteresisNeedsTwoFlips)
@@ -240,7 +240,7 @@ TEST(Hybrid, StatsTrackAccuracy)
     const auto &s = pred.stats();
     EXPECT_EQ(s.cond_lookups, 50u);
     EXPECT_EQ(s.dir_correct + s.dir_wrong, 50u);
-    EXPECT_GT(s.accuracy(), 0.9);
+    EXPECT_GT(s.dir_correct, 45u); // accuracy above 90%
 }
 
 /**

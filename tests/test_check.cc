@@ -240,11 +240,6 @@ TEST(Instrumented, PidUpdateContractHoldsUnderSaturation)
     EXPECT_DOUBLE_EQ(pid.output(), 1.0);
 }
 
-TEST(Instrumented, EnabledFlagReportsOn)
-{
-    EXPECT_TRUE(check::instrumentationEnabled());
-}
-
 #endif // THERMCTL_INVARIANTS_ENABLED
 
 } // namespace

@@ -27,15 +27,5 @@ TEST(Logging, PanicThrowsPanicError)
     EXPECT_THROW(panic("invariant"), PanicError);
 }
 
-TEST(Logging, QuietModeToggles)
-{
-    setQuiet(true);
-    EXPECT_TRUE(isQuiet());
-    warn("this should not appear");
-    inform("nor this");
-    setQuiet(false);
-    EXPECT_FALSE(isQuiet());
-}
-
 } // namespace
 } // namespace thermctl

@@ -140,7 +140,6 @@ TEST(ByteReader, MixedStreamRoundTripsAndStopsAtEnd)
     ByteWriter w;
     w.u8(9);
     w.u32(123456);
-    w.i64(-42);
     w.f64(-2.5);
     w.str("hello");
     w.str("");
@@ -148,7 +147,6 @@ TEST(ByteReader, MixedStreamRoundTripsAndStopsAtEnd)
     ByteReader r(w.buffer());
     EXPECT_EQ(r.u8(), 9u);
     EXPECT_EQ(r.u32(), 123456u);
-    EXPECT_EQ(r.i64(), -42);
     EXPECT_EQ(r.f64(), -2.5);
     EXPECT_EQ(r.str(), "hello");
     EXPECT_EQ(r.str(), "");

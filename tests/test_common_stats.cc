@@ -4,6 +4,7 @@
  */
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,7 +25,6 @@ TEST(Accumulator, EmptyStateIsZeroed)
     EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
     EXPECT_DOUBLE_EQ(acc.min(), 0.0);
     EXPECT_DOUBLE_EQ(acc.max(), 0.0);
-    EXPECT_DOUBLE_EQ(acc.variance(), 0.0);
 }
 
 TEST(Accumulator, BasicMoments)
@@ -34,40 +34,8 @@ TEST(Accumulator, BasicMoments)
         acc.add(x);
     EXPECT_EQ(acc.count(), 8u);
     EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(acc.variance(), 4.0);
-    EXPECT_DOUBLE_EQ(acc.stddev(), 2.0);
     EXPECT_DOUBLE_EQ(acc.min(), 2.0);
     EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-    EXPECT_DOUBLE_EQ(acc.sum(), 40.0);
-}
-
-TEST(Accumulator, MergeMatchesCombinedStream)
-{
-    Rng rng(7);
-    Accumulator all, left, right;
-    for (int i = 0; i < 1000; ++i) {
-        double x = rng.gaussian(3.0, 2.0);
-        all.add(x);
-        (i % 2 ? left : right).add(x);
-    }
-    left.merge(right);
-    EXPECT_EQ(left.count(), all.count());
-    EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(left.min(), all.min());
-    EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(Accumulator, MergeWithEmpty)
-{
-    Accumulator a, b;
-    a.add(1.0);
-    a.add(3.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    b.merge(a);
-    EXPECT_EQ(b.count(), 2u);
-    EXPECT_DOUBLE_EQ(b.mean(), 2.0);
 }
 
 TEST(BoxcarAverage, RejectsZeroWindow)
@@ -83,7 +51,6 @@ TEST(BoxcarAverage, PartialWindowAveragesSeenSamples)
     EXPECT_DOUBLE_EQ(box.average(), 2.0);
     box.add(4.0);
     EXPECT_DOUBLE_EQ(box.average(), 3.0);
-    EXPECT_FALSE(box.full());
 }
 
 TEST(BoxcarAverage, EvictsOldestOnceFull)
@@ -92,7 +59,6 @@ TEST(BoxcarAverage, EvictsOldestOnceFull)
     box.add(1.0);
     box.add(2.0);
     box.add(3.0);
-    EXPECT_TRUE(box.full());
     EXPECT_DOUBLE_EQ(box.average(), 2.0);
     box.add(10.0); // evicts 1.0
     EXPECT_DOUBLE_EQ(box.average(), 5.0);
@@ -137,30 +103,6 @@ TEST_P(BoxcarProperty, MatchesNaiveRecomputation)
 INSTANTIATE_TEST_SUITE_P(Windows, BoxcarProperty,
                          ::testing::Values(1, 2, 3, 7, 64, 1000));
 
-TEST(EwmaAverage, ConvergesToConstantInput)
-{
-    EwmaAverage ewma(0.2);
-    EXPECT_TRUE(ewma.empty());
-    for (int i = 0; i < 200; ++i)
-        ewma.add(7.0);
-    EXPECT_NEAR(ewma.average(), 7.0, 1e-9);
-}
-
-TEST(EwmaAverage, FirstSampleSeedsValue)
-{
-    EwmaAverage ewma(0.5);
-    ewma.add(10.0);
-    EXPECT_DOUBLE_EQ(ewma.average(), 10.0);
-    ewma.add(0.0);
-    EXPECT_DOUBLE_EQ(ewma.average(), 5.0);
-}
-
-TEST(EwmaAverage, RejectsBadAlpha)
-{
-    EXPECT_THROW(EwmaAverage(0.0), FatalError);
-    EXPECT_THROW(EwmaAverage(1.5), FatalError);
-}
-
 TEST(Histogram, BinBoundariesAndOverflow)
 {
     Histogram h(0.0, 10.0, 10);
@@ -169,14 +111,18 @@ TEST(Histogram, BinBoundariesAndOverflow)
     h.add(9.999);
     h.add(10.0);
     h.add(5.5);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
-    EXPECT_EQ(h.binCount(5), 1u);
     EXPECT_EQ(h.total(), 5u);
-    EXPECT_DOUBLE_EQ(h.binLow(5), 5.0);
-    EXPECT_DOUBLE_EQ(h.binHigh(5), 6.0);
+    EXPECT_NE(h.summary().find("under=1 over=1"), std::string::npos)
+        << h.summary();
+
+    // A lone sample's median is the middle of the bin add() chose.
+    const std::pair<double, double> sample_mid[] = {
+        {0.0, 0.5}, {4.999, 4.5}, {5.0, 5.5}, {5.5, 5.5}, {9.999, 9.5}};
+    for (const auto &[x, mid] : sample_mid) {
+        Histogram one(0.0, 10.0, 10);
+        one.add(x);
+        EXPECT_DOUBLE_EQ(one.quantile(0.5), mid) << x;
+    }
 }
 
 TEST(Histogram, QuantileOfUniformData)

@@ -35,28 +35,6 @@ TEST(TextTable, AlignsColumns)
         EXPECT_EQ(line.size(), header_len);
 }
 
-TEST(TextTable, RowCountSkipsRules)
-{
-    TextTable t;
-    t.addRow({"a"});
-    t.addRule();
-    t.addRow({"b"});
-    EXPECT_EQ(t.rowCount(), 2u);
-}
-
-TEST(TextTable, CsvQuotesSpecialCells)
-{
-    TextTable t;
-    t.setHeader({"a", "b"});
-    t.addRow({"plain", "with,comma"});
-    t.addRow({"quote\"inside", "ok"});
-    std::ostringstream os;
-    t.printCsv(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("\"with,comma\""), std::string::npos);
-    EXPECT_NE(out.find("\"quote\"\"inside\""), std::string::npos);
-}
-
 TEST(Format, Double)
 {
     EXPECT_EQ(formatDouble(3.14159, 2), "3.14");

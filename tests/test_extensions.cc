@@ -296,22 +296,6 @@ TEST(GridModel, ResolvesWithinBlockGradients)
               grid.blockMean(StructureId::Regfile));
 }
 
-TEST(GridModel, DieMaxAndCellQueries)
-{
-    Floorplan fp;
-    ThermalConfig cfg;
-    GridThermalModel grid(fp, cfg, 1.0 / 1.5e9, 0.5);
-    PowerVector p;
-    p[StructureId::IntExec] = 5.0;
-    grid.stepSpan(p, 2'000'000);
-    const auto &rect = fp.rect(StructureId::IntExec);
-    const double cx = rect.x_mm + rect.w_mm / 2;
-    const double cy = rect.y_mm + rect.h_mm / 2;
-    EXPECT_GT(grid.cellAt(cx, cy), cfg.t_base + 1.0);
-    EXPECT_NEAR(grid.dieMax(), grid.blockMax(StructureId::IntExec),
-                1e-9);
-}
-
 TEST(GridModel, RejectsBadResolution)
 {
     Floorplan fp;
@@ -319,18 +303,6 @@ TEST(GridModel, RejectsBadResolution)
     EXPECT_THROW(GridThermalModel(fp, cfg, 1.0 / 1.5e9, 0.3),
                  FatalError);
     EXPECT_THROW(GridThermalModel(fp, cfg, 0.0, 0.5), FatalError);
-}
-
-TEST(GridModel, SetUniformResets)
-{
-    Floorplan fp;
-    ThermalConfig cfg;
-    GridThermalModel grid(fp, cfg, 1.0 / 1.5e9, 1.0);
-    PowerVector p;
-    p[StructureId::Lsq] = 3.0;
-    grid.stepSpan(p, 500000);
-    grid.setUniform(cfg.t_base);
-    EXPECT_DOUBLE_EQ(grid.dieMax(), cfg.t_base);
 }
 
 } // namespace

@@ -100,7 +100,8 @@ TEST(FaultPlan, DescribeReparsesToSamePlan)
 {
     const char *spec =
         "seed=7;serve.sock.read=eintr@0.125:every=2;"
-        "cache.publish=torn:after=1:max=3;sched.batch=stall:ms=25";
+        "cache.publish=torn:after=1:max=3;sched.batch=stall:ms=25;"
+        "serve.accept=abort;serve.sock.write=short";
     const FaultPlan plan = FaultPlan::parse(spec);
     const FaultPlan again = FaultPlan::parse(plan.describe());
     EXPECT_EQ(again.seed, plan.seed);
@@ -135,11 +136,11 @@ TEST(FaultInjector, DisarmedProbesAreNoOps)
     FaultInjector &inj = FaultInjector::instance();
     inj.disarm();
     EXPECT_FALSE(inj.armed());
-    EXPECT_FALSE(inj.probe("any.site").fired());
+    EXPECT_EQ(inj.probe("any.site").kind, FaultKind::None);
     EXPECT_EQ(inj.firedCount(), 0u);
 
     // The production macro routes through the same path.
-    EXPECT_FALSE(THERMCTL_FAULT_POINT("any.site").fired());
+    EXPECT_EQ(THERMCTL_FAULT_POINT("any.site").kind, FaultKind::None);
 }
 
 TEST(FaultInjector, SameSeedReplaysSameSequence)
@@ -152,21 +153,13 @@ TEST(FaultInjector, SameSeedReplaysSameSequence)
     inj.arm(plan);
     const auto reads_a = probeSeq("x.read", 200);
     const auto writes_a = probeSeq("x.write", 200);
-    const auto log_a = inj.firedLog();
 
     inj.arm(plan); // re-arm resets every per-rule stream
     const auto reads_b = probeSeq("x.read", 200);
     const auto writes_b = probeSeq("x.write", 200);
-    const auto log_b = inj.firedLog();
 
     EXPECT_EQ(reads_a, reads_b);
     EXPECT_EQ(writes_a, writes_b);
-    ASSERT_EQ(log_a.size(), log_b.size());
-    for (std::size_t i = 0; i < log_a.size(); ++i) {
-        EXPECT_EQ(log_a[i].site, log_b[i].site);
-        EXPECT_EQ(log_a[i].hit, log_b[i].hit);
-        EXPECT_EQ(log_a[i].kind, log_b[i].kind);
-    }
 
     // A probabilistic rule must neither always fire nor never fire
     // over 200 draws at p=0.3 (chance of either is ~1e-31).
@@ -255,16 +248,14 @@ TEST(FaultInjector, StallCarriesDuration)
     EXPECT_EQ(d.stall_ms, 123u);
 }
 
-TEST(FaultInjector, FiredLogRecordsHitIndices)
+TEST(FaultInjector, EveryAndMaxGateTheHitIndices)
 {
     ScopedDisarm guard;
     FaultInjector &inj = FaultInjector::instance();
     inj.arm(FaultPlan::parse("x=torn:every=2:max=2"));
-    probeSeq("x", 6);
-    const auto log = inj.firedLog();
-    ASSERT_EQ(log.size(), 2u);
-    EXPECT_EQ(log[0].site, "x");
-    EXPECT_EQ(log[0].hit, 2u);
-    EXPECT_EQ(log[0].kind, FaultKind::Torn);
-    EXPECT_EQ(log[1].hit, 4u);
+    const std::vector<FaultKind> none_torn = {
+        FaultKind::None, FaultKind::Torn, FaultKind::None,
+        FaultKind::Torn, FaultKind::None, FaultKind::None};
+    EXPECT_EQ(probeSeq("x", 6), none_torn);
+    EXPECT_EQ(inj.firedCount(), 2u);
 }

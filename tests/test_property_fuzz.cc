@@ -4,6 +4,7 @@
  * reference implementations under randomized inputs.
  */
 
+#include <algorithm>
 #include <list>
 #include <map>
 
@@ -143,10 +144,17 @@ TEST(PidFuzz, ConditionalIntegralStaysInActuatorRange)
     cfg.dt = 1e-3;
     cfg.anti_windup = AntiWindup::Conditional;
     PidController pid(cfg);
+    // With kp = kd = 0 the output is the integral term itself. Kept in
+    // range, it follows clamp(previous + increment) every step; a
+    // wound-up integrator would sit past a rail instead and need more
+    // than one opposite-sign step to come back.
+    double integral = cfg.integral_init;
     for (int i = 0; i < 20000; ++i) {
-        pid.update(rng.uniform(-100.0, 120.0));
-        ASSERT_GE(pid.integralTerm(), cfg.out_min - 1e-12);
-        ASSERT_LE(pid.integralTerm(), cfg.out_max + 1e-12);
+        const double measurement = rng.uniform(-100.0, 120.0);
+        integral = std::clamp(
+            integral + cfg.ki * (cfg.setpoint - measurement) * cfg.dt,
+            cfg.out_min, cfg.out_max);
+        ASSERT_EQ(pid.update(measurement), integral) << "step " << i;
     }
 }
 

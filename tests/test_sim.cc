@@ -41,8 +41,10 @@ TEST(PolicyFactory, PlantDerivedFromHotspotBlocks)
     FopdtPlant plant = deriveDtmPlant(fp, pm, dtm, cycle_s);
 
     double max_rc = 0.0;
-    for (std::size_t i = 0; i < kNumHotspotStructures; ++i)
-        max_rc = std::max(max_rc, fp.blocks()[i].rc().value());
+    for (std::size_t i = 0; i < kNumHotspotStructures; ++i) {
+        const auto id = static_cast<StructureId>(i);
+        max_rc = std::max(max_rc, fp.block(id).rc().value());
+    }
     EXPECT_DOUBLE_EQ(plant.tau, max_rc);
     EXPECT_GT(plant.gain, 1.0);
     EXPECT_NEAR(plant.dead_time, 500.0 * cycle_s, 1e-15);

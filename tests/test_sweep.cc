@@ -237,19 +237,23 @@ TEST(SweepDigest, SensitiveToEveryAxisItCovers)
 
 TEST(SweepEngine, DefaultJobsReadsWholeNumbersFromTheEnvironment)
 {
+    // With jobs = 0 the width of a large grid is the default jobs.
+    const auto defaultJobs = [] {
+        return SweepEngine(SweepOptions{}).effectiveJobs(1u << 20);
+    };
     const char *saved = std::getenv("THERMCTL_JOBS");
     const std::string restore = saved ? saved : "";
     ::unsetenv("THERMCTL_JOBS");
-    const unsigned fallback = SweepEngine::defaultJobs();
+    const unsigned fallback = defaultJobs();
     EXPECT_GE(fallback, 1u);
 
     ::setenv("THERMCTL_JOBS", "3", 1);
-    EXPECT_EQ(SweepEngine::defaultJobs(), 3u);
+    EXPECT_EQ(defaultJobs(), 3u);
     // strtol read "4x" as 4; now trailing garbage is ignored with a
     // warning like every other invalid value.
     for (const char *bad : {"4x", "0", "-2", "", " 4", "four"}) {
         ::setenv("THERMCTL_JOBS", bad, 1);
-        EXPECT_EQ(SweepEngine::defaultJobs(), fallback) << "'" << bad << "'";
+        EXPECT_EQ(defaultJobs(), fallback) << "'" << bad << "'";
     }
 
     if (saved)

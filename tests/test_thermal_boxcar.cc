@@ -14,16 +14,27 @@ namespace thermctl
 namespace
 {
 
+/** The average power that holds block `id` at the emergency level. */
+double
+triggerPower(const Floorplan &fp, const ThermalConfig &cfg, StructureId id)
+{
+    return (cfg.t_emergency - cfg.t_base) / fp.block(id).resistance;
+}
+
 TEST(StructureBoxcar, TriggerPowerFollowsThermalLaw)
 {
     Floorplan fp;
     ThermalConfig cfg;
-    StructureBoxcarProxy proxy(fp, cfg, 1000, cfg.t_emergency);
     for (StructureId id : kAllStructures) {
-        const double expected = (cfg.t_emergency - cfg.t_base)
-            / fp.block(id).resistance;
-        EXPECT_NEAR(proxy.triggerPower(id), expected, 1e-12)
-            << structureName(id);
+        for (double scale : {0.999, 1.001}) {
+            StructureBoxcarProxy proxy(fp, cfg, 10, cfg.t_emergency);
+            PowerVector p;
+            p[id] = scale * triggerPower(fp, cfg, id);
+            for (int i = 0; i < 10; ++i)
+                proxy.add(p);
+            EXPECT_EQ(proxy.triggered(id), scale > 1.0)
+                << structureName(id) << " at " << scale;
+        }
     }
 }
 
@@ -32,7 +43,7 @@ TEST(StructureBoxcar, TriggersOnSustainedPower)
     Floorplan fp;
     ThermalConfig cfg;
     StructureBoxcarProxy proxy(fp, cfg, 100, cfg.t_emergency);
-    const double p_trig = proxy.triggerPower(StructureId::IntExec);
+    const double p_trig = triggerPower(fp, cfg, StructureId::IntExec);
 
     PowerVector hot;
     hot[StructureId::IntExec] = 1.2 * p_trig;
@@ -49,7 +60,7 @@ TEST(StructureBoxcar, LargeWindowMissesShortBurst)
     Floorplan fp;
     ThermalConfig cfg;
     StructureBoxcarProxy proxy(fp, cfg, 500000, cfg.t_emergency);
-    const double p_trig = proxy.triggerPower(StructureId::FpExec);
+    const double p_trig = triggerPower(fp, cfg, StructureId::FpExec);
 
     PowerVector idle;
     PowerVector burst;
@@ -59,7 +70,6 @@ TEST(StructureBoxcar, LargeWindowMissesShortBurst)
     for (int i = 0; i < 20000; ++i) // intense but short burst
         proxy.add(burst);
     EXPECT_FALSE(proxy.triggered(StructureId::FpExec));
-    EXPECT_LT(proxy.averagePower(StructureId::FpExec), p_trig);
 }
 
 TEST(StructureBoxcar, RejectsZeroWindow)
@@ -79,7 +89,6 @@ TEST(ChipBoxcar, FixedWattageTrigger)
     for (int i = 0; i < 10; ++i)
         proxy.add(50.0);
     EXPECT_TRUE(proxy.triggered());
-    EXPECT_DOUBLE_EQ(proxy.triggerWatts(), 47.0);
 }
 
 TEST(ChipBoxcar, RejectsNonPositiveTrigger)
@@ -124,7 +133,7 @@ TEST(ProxyComparison, BoxcarVsRcOnBurstyTrace)
     ProxyComparison cmp;
 
     const auto id = StructureId::IntExec;
-    const double p_trig = proxy.triggerPower(id);
+    const double p_trig = triggerPower(fp, cfg, id);
     // Pre-heat near the threshold so bursts cross quickly.
     PowerVector warm;
     warm[id] = 0.95 * p_trig;

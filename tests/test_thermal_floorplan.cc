@@ -53,7 +53,7 @@ TEST(Floorplan, CapacitanceFollowsPhysics)
     const double c_v = silicon::volumetricHeatCapacity(
         cfg.reference_temp);
     for (std::size_t i = 0; i < kNumStructures; ++i) {
-        const auto &blk = fp.blocks()[i];
+        const auto &blk = fp.block(static_cast<StructureId>(i));
         EXPECT_NEAR(blk.capacitance,
                     c_v * blk.area_m2 * cfg.active_layer_m,
                     1e-12)
@@ -76,9 +76,10 @@ TEST(Floorplan, BlockTimeConstantsInPaperRange)
 {
     Floorplan fp;
     for (std::size_t i = 0; i < kNumHotspotStructures; ++i) {
-        const double rc_us = fp.blocks()[i].rc() * 1e6;
-        EXPECT_GT(rc_us, 20.0) << structureName(fp.blocks()[i].id);
-        EXPECT_LT(rc_us, 1000.0) << structureName(fp.blocks()[i].id);
+        const auto id = static_cast<StructureId>(i);
+        const double rc_us = fp.block(id).rc() * 1e6;
+        EXPECT_GT(rc_us, 20.0) << structureName(id);
+        EXPECT_LT(rc_us, 1000.0) << structureName(id);
     }
 }
 
@@ -121,8 +122,10 @@ TEST(Floorplan, ChipLevelConstantsFromPaper)
     // Chip-level RC is ~20 s: orders of magnitude above block RC.
     Floorplan fp(cfg);
     const double chip_rc = cfg.chip_resistance * cfg.chip_capacitance;
-    for (std::size_t i = 0; i < kNumHotspotStructures; ++i)
-        EXPECT_GT(chip_rc, 1e4 * fp.blocks()[i].rc());
+    for (std::size_t i = 0; i < kNumHotspotStructures; ++i) {
+        const auto id = static_cast<StructureId>(i);
+        EXPECT_GT(chip_rc, 1e4 * fp.block(id).rc());
+    }
 }
 
 TEST(Floorplan, RejectsBadConfig)

@@ -98,14 +98,17 @@ TEST(SimplifiedRC, CoolsExponentially)
     Floorplan fp;
     ThermalConfig cfg;
     SimplifiedRCModel model(fp, cfg, kDt);
-    model.setUniform(cfg.t_base + 4.0);
+    model.warmStart(uniformPower(2.0));
+    const double start =
+        model.temperatures()[StructureId::Window] - cfg.t_base;
+    ASSERT_GT(start, 1.0);
     const auto &blk = fp.block(StructureId::Window);
     // After exactly one RC with zero power the excess decays to 1/e.
     const auto cycles = static_cast<std::uint64_t>(blk.rc() / kDt);
     model.stepExact(uniformPower(0.0), cycles);
     const double excess =
         model.temperatures()[StructureId::Window] - cfg.t_base;
-    EXPECT_NEAR(excess, 4.0 / M_E, 0.01);
+    EXPECT_NEAR(excess / start, 1.0 / M_E, 0.0025);
 }
 
 TEST(SimplifiedRC, WarmStartJumpsToSteadyState)
@@ -207,9 +210,13 @@ TEST(FullRC, HeatsinkMovesOnlySlowly)
 
 TEST(ChipLevel, TimeConstantIsSeconds)
 {
+    // One time constant R*C = 0.34 K/W * 60 J/K of a 25 W step covers
+    // 1 - 1/e of the way to the steady state.
     FloorplanConfig cfg;
-    ChipLevelModel chip(cfg, 70.0, kDt);
-    EXPECT_NEAR(chip.timeConstant(), 0.34 * 60.0, 1e-9);
+    ChipLevelModel chip(cfg, cfg.ambient, kDt);
+    chip.stepExact(25.0, static_cast<std::uint64_t>(0.34 * 60.0 / kDt));
+    EXPECT_NEAR(chip.temperature(),
+                cfg.ambient + 25.0 * 0.34 * (1.0 - std::exp(-1.0)), 1e-6);
 }
 
 TEST(ChipLevel, SteadyStateFromAmbient)

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "analyze/dataflow.hh"
+#include "analyze/tokens.hh"
 
 namespace thermctl::analysis
 {
@@ -15,13 +16,6 @@ using lint::Token;
 
 namespace
 {
-
-bool
-startsWith(std::string_view s, std::string_view prefix)
-{
-    return s.size() >= prefix.size()
-           && s.compare(0, prefix.size(), prefix) == 0;
-}
 
 /** True when `path` is `suffix` or ends with "/" + `suffix`. */
 bool
@@ -72,35 +66,6 @@ dirName(std::string_view path)
     std::size_t slash = path.rfind('/');
     return slash == std::string_view::npos ? std::string()
                                            : std::string(path.substr(0, slash));
-}
-
-bool
-isKeyword(std::string_view s)
-{
-    static const std::set<std::string, std::less<>> kw = {
-        "if",     "for",    "while",        "switch",   "catch",
-        "return", "sizeof", "alignof",      "decltype", "static_assert",
-        "new",    "delete", "co_return",    "co_await", "throw",
-    };
-    return kw.count(s) != 0;
-}
-
-/** Index of the token matching the opener at `open` ("(" ↔ ")"). */
-std::size_t
-matchForward(const std::vector<Token> &toks, std::size_t open)
-{
-    const std::string &o = toks[open].text;
-    const std::string c = o == "(" ? ")" : (o == "[" ? "]" : "}");
-    int depth = 0;
-    for (std::size_t k = open; k < toks.size(); ++k) {
-        if (toks[k].kind != Token::Kind::Punct)
-            continue;
-        if (toks[k].text == o)
-            ++depth;
-        else if (toks[k].text == c && --depth == 0)
-            return k;
-    }
-    return toks.size();
 }
 
 /**
@@ -309,7 +274,7 @@ scanFileSymbols(const std::string &path, const std::vector<Token> &toks,
 
         // Identifier followed by "(": a call site or a definition.
         if (i + 1 >= toks.size() || toks[i + 1].kind != Token::Kind::Punct
-            || toks[i + 1].text != "(" || isKeyword(t.text))
+            || toks[i + 1].text != "(" || isControlKeyword(t.text))
             continue;
 
         if (nodiscard_pending) {
@@ -348,8 +313,7 @@ scanFileSymbols(const std::string &path, const std::vector<Token> &toks,
         const bool typed_before =
             pure_qualified && cs > 0
             && toks[cs - 1].kind == Token::Kind::Identifier
-            && !isKeyword(toks[cs - 1].text)
-            && toks[cs - 1].text != "else" && toks[cs - 1].text != "do";
+            && !isControlKeyword(toks[cs - 1].text);
         const bool is_definition =
             after < toks.size() && toks[after].kind == Token::Kind::Punct
             && toks[after].text == "{" && typed_before;
@@ -680,6 +644,7 @@ analysisRuleIds()
         "lock-order",
         "alloc-bound",
         "field-coverage",
+        "dead-surface",
     };
     return ids;
 }
@@ -716,7 +681,17 @@ Allowlist::parse(std::string_view text, std::string &error)
                     + rule + "' is missing a path suffix";
             return false;
         }
-        entries_.push_back({rule, suffix, false});
+        std::string symbol, justification;
+        if (rule == "dead-surface") {
+            fields >> symbol >> justification;
+            if (justification.empty()) {
+                error = "allowlist line " + std::to_string(line)
+                        + ": dead-surface entries are 'dead-surface "
+                          "path-suffix Symbol justification...'";
+                return false;
+            }
+        }
+        entries_.push_back({rule, suffix, symbol, false});
     }
     return true;
 }
@@ -725,7 +700,8 @@ bool
 Allowlist::allows(const Finding &f) const
 {
     for (const Entry &e : entries_) {
-        if (e.rule == f.rule && endsWithComponents(f.file, e.path_suffix)) {
+        if (e.rule == f.rule && endsWithComponents(f.file, e.path_suffix)
+            && (e.symbol.empty() || e.symbol == f.symbol)) {
             e.used = true;
             return true;
         }
@@ -739,7 +715,8 @@ Allowlist::unusedEntries() const
     std::vector<std::string> out;
     for (const Entry &e : entries_)
         if (!e.used)
-            out.push_back(e.rule + " " + e.path_suffix);
+            out.push_back(e.rule + " " + e.path_suffix
+                          + (e.symbol.empty() ? "" : " " + e.symbol));
     return out;
 }
 
@@ -934,11 +911,143 @@ checkLockOrder(const ProjectModel &model)
     return findings;
 }
 
-std::vector<Finding>
-analyzeProject(const ProjectModel &model, const LayerSpec &spec,
-               const MustCheckSet &must)
+// ---------------------------------------------------------- dead-surface
+
+namespace
 {
-    return analyzeProject(model, spec, must, AnalyzeOptions{});
+
+/**
+ * `path` from its last top-level project directory on: "src/x.hh" for
+ * both "src/x.hh" and "tests/analyze/fixtures/deadsurface/src/x.hh";
+ * "" when no directory component names one.
+ */
+std::string_view
+projectRelative(std::string_view path)
+{
+    static const std::set<std::string, std::less<>> roots = {
+        "src", "tools", "bench", "perf", "examples", "tests"};
+    std::size_t best = std::string_view::npos;
+    for (std::size_t pos = 0, slash;
+         (slash = path.find('/', pos)) != std::string_view::npos;
+         pos = slash + 1) {
+        if (roots.count(path.substr(pos, slash - pos)))
+            best = pos;
+    }
+    return best == std::string_view::npos ? std::string_view()
+                                          : path.substr(best);
+}
+
+/** True when a reference from `rel` keeps a src/ symbol alive. */
+bool
+countsAsCaller(std::string_view rel)
+{
+    for (std::string_view area : {"src/", "tools/", "bench/", "perf/",
+                                  "examples/", "tests/fuzz/", "tests/chaos/"})
+        if (startsWith(rel, area))
+            return true;
+    return false;
+}
+
+/**
+ * The tokens of `toks` that name a function being defined rather than
+ * use it: the name and its qualifiers (`Table::addRow`, both `Foo`s of
+ * `Foo::Foo`, `Foo::~Foo`).
+ */
+std::set<std::size_t>
+definitionHeads(const std::vector<Token> &toks)
+{
+    std::set<std::size_t> heads;
+    for (const FuncDef &fd : indexFunctions(toks))
+        for (std::size_t k = fd.params_begin - 1;; k -= 2) {
+            heads.insert(k);
+            if (k >= 1 && isPunct(toks[k - 1], "~"))
+                --k;
+            if (k < 2 || !isPunct(toks[k - 1], "::"))
+                break;
+        }
+    return heads;
+}
+
+} // namespace
+
+std::vector<Finding>
+checkDeadSurface(const ProjectModel &model)
+{
+    const std::vector<SourceFile> &files = model.files();
+    struct Header
+    {
+        std::size_t hh, cc; // model indices; cc may be npos
+        std::vector<DeclDef> symbols;
+        std::set<std::size_t> hh_heads, cc_heads; // definitionHeads
+    };
+    // The identifier a symbol is referenced by: "addRow" for
+    // "Table::addRow".
+    auto identifier = [](const DeclDef &d) {
+        return std::string_view(d.name).substr(d.name.rfind(':') + 1);
+    };
+    std::vector<Header> headers;
+    std::set<std::string, std::less<>> names;
+    for (std::size_t f = 0; f < files.size(); ++f) {
+        const std::string &path = files[f].path;
+        const std::string_view rel = projectRelative(path);
+        if (!startsWith(rel, "src/") || rel.size() < 3
+            || rel.substr(rel.size() - 3) != ".hh")
+            continue;
+        const std::size_t cc =
+            model.indexOf(path.substr(0, path.size() - 3) + ".cc");
+        Header h{f, cc, indexExported(files[f].tokens),
+                 definitionHeads(files[f].tokens),
+                 cc < files.size() ? definitionHeads(files[cc].tokens)
+                                   : std::set<std::size_t>{}};
+        for (const DeclDef &d : h.symbols)
+            names.emplace(identifier(d));
+        headers.push_back(std::move(h));
+    }
+
+    // Every occurrence of a candidate name, as (file, token) pairs.
+    std::map<std::string, std::vector<std::pair<std::size_t, std::size_t>>,
+             std::less<>>
+        uses;
+    for (std::size_t f = 0; f < files.size(); ++f) {
+        const std::vector<Token> &toks = files[f].tokens;
+        for (std::size_t k = 0; k < toks.size(); ++k)
+            if (toks[k].kind == Token::Kind::Identifier
+                && names.count(toks[k].text))
+                uses[toks[k].text].emplace_back(f, k);
+    }
+
+    std::vector<Finding> findings;
+    for (const Header &h : headers) {
+        const std::string &hh = files[h.hh].path;
+        for (const DeclDef &d : h.symbols) {
+            bool live = false, own_cc_use = false;
+            for (const auto &[f, k] : uses.find(identifier(d))->second) {
+                if (f == h.hh)
+                    live = live
+                           || ((k < d.begin || k >= d.end)
+                               && !h.hh_heads.count(k));
+                else if (f == h.cc)
+                    own_cc_use = own_cc_use || !h.cc_heads.count(k);
+                else
+                    live = live || countsAsCaller(projectRelative(
+                                       files[f].path));
+            }
+            if (live)
+                continue;
+            findings.push_back(
+                {hh, d.line, "dead-surface",
+                 own_cc_use
+                     ? "internal: only " + files[h.cc].path + " uses '"
+                           + d.name
+                           + "'; move it out of the header (file-local "
+                             "or private)"
+                     : "dead: nothing outside " + hh + " and its .cc uses '"
+                           + d.name
+                           + "' (unit tests do not count); delete it",
+                 d.name});
+        }
+    }
+    return findings;
 }
 
 bool
@@ -980,6 +1089,8 @@ analyzeProject(const ProjectModel &model, const LayerSpec &spec,
         take(checkAllocBound(model));
     if (opts.wants("field-coverage"))
         take(checkFieldCoverage(model, opts.allowed_fields));
+    if (opts.wants("dead-surface"))
+        take(checkDeadSurface(model));
     std::stable_sort(findings.begin(), findings.end(),
                      [](const Finding &a, const Finding &b) {
                          if (a.file != b.file)

@@ -35,6 +35,16 @@
  *                              though the acquisition of A is in its
  *                              callers). Cycles in the graph are
  *                              reported as potential deadlocks.
+ *   dead-surface               every function and class declared in a
+ *                              public scope of a src/ header must be
+ *                              referenced outside its own .hh/.cc from
+ *                              src, tools, bench, perf, examples,
+ *                              tests/fuzz or tests/chaos (unit tests do
+ *                              not count); otherwise it is "dead"
+ *                              (delete it) or, when its own .cc uses
+ *                              it, "internal" (make it file-local or
+ *                              private). Allowlist entries for it name
+ *                              one symbol.
  *
  * The model is deliberately token-level (built on the tools/lint
  * tokenizer, not libclang): include resolution, a lightweight symbol
@@ -45,8 +55,9 @@
  * "analyze").
  *
  * Every pass reports lint::Finding; grandfathered exceptions live in
- * one Allowlist (`rule path-suffix justification` entries, stale
- * entries flagged), committed as `.thermctl-analyze-allow`. DESIGN.md
+ * one Allowlist (`rule path-suffix justification` entries, plus the
+ * symbol for dead-surface; stale entries flagged), committed as
+ * `.thermctl-analyze-allow`. DESIGN.md
  * §13 documents the model, the passes, and the `.thermctl-layers`
  * format.
  */
@@ -238,21 +249,28 @@ struct MustCheckSet
  */
 const std::vector<std::string> &analysisRuleIds();
 
-/** Grandfathered exceptions: `rule path-suffix justification...`. */
+/**
+ * Grandfathered exceptions: `rule path-suffix justification...`, and
+ * for dead-surface `dead-surface path-suffix Symbol justification...`.
+ */
 class Allowlist
 {
   public:
     /**
      * Parse the allowlist text. Lines are `rule path-suffix
-     * [justification...]`; blank lines and `#` comments are ignored.
+     * [justification...]`; blank lines and `#` comments are ignored. A
+     * dead-surface entry names one symbol after the suffix and must give
+     * a justification, so one entry cannot hide a whole header.
      * @return false and set `error` on a malformed line (missing
-     * path-suffix, rule id not in analysisRuleIds()).
+     * path-suffix, symbol or justification, rule id not in
+     * analysisRuleIds()).
      */
     bool parse(std::string_view text, std::string &error);
 
     /**
-     * @return true when `f` matches an entry: same rule, and the path
-     * equals the suffix or ends with "/" + suffix.
+     * @return true when `f` matches an entry: same rule, the path
+     * equals the suffix or ends with "/" + suffix, and the entry's
+     * symbol (if it names one) is the finding's.
      */
     bool allows(const lint::Finding &f) const;
 
@@ -266,6 +284,7 @@ class Allowlist
     {
         std::string rule;
         std::string path_suffix;
+        std::string symbol; ///< dead-surface entries only
         mutable bool used = false;
     };
     std::vector<Entry> entries_;
@@ -291,6 +310,12 @@ checkUncheckedReturns(const ProjectModel &model, const MustCheckSet &must);
 
 /** Lock-order pass: report cycles in the lock-acquisition graph. */
 std::vector<lint::Finding> checkLockOrder(const ProjectModel &model);
+
+/**
+ * Dead-surface pass (rule in the file comment). Each finding carries
+ * the symbol (`Table::addRow`) for per-symbol allowlist entries.
+ */
+std::vector<lint::Finding> checkDeadSurface(const ProjectModel &model);
 
 /**
  * Pass selection and per-pass options for analyzeProject. The per-file
@@ -319,18 +344,14 @@ struct AnalyzeOptions
 };
 
 /**
- * All passes, per-file rules first; layering skipped when `spec` is
- * empty. Findings are ordered by file, then line.
+ * All passes, per-file rules first, honouring `opts` (pass filter and
+ * field exclusions); layering skipped when `spec` is empty. Findings
+ * are ordered by file, then line.
  */
 std::vector<lint::Finding> analyzeProject(const ProjectModel &model,
                                           const LayerSpec &spec,
-                                          const MustCheckSet &must);
-
-/** As above, honouring `opts` (pass filter + field exclusions). */
-std::vector<lint::Finding> analyzeProject(const ProjectModel &model,
-                                          const LayerSpec &spec,
                                           const MustCheckSet &must,
-                                          const AnalyzeOptions &opts);
+                                          const AnalyzeOptions &opts = {});
 
 } // namespace thermctl::analysis
 

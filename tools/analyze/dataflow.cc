@@ -4,6 +4,8 @@
 #include <map>
 #include <set>
 
+#include "analyze/tokens.hh"
+
 namespace thermctl::analysis
 {
 
@@ -12,80 +14,6 @@ using lint::Token;
 
 namespace
 {
-
-bool
-startsWith(std::string_view s, std::string_view prefix)
-{
-    return s.size() >= prefix.size()
-           && s.compare(0, prefix.size(), prefix) == 0;
-}
-
-bool
-isPunct(const Token &t, std::string_view text)
-{
-    return t.kind == Token::Kind::Punct && t.text == text;
-}
-
-bool
-isIdent(const Token &t, std::string_view text)
-{
-    return t.kind == Token::Kind::Identifier && t.text == text;
-}
-
-/** Index of the token matching the opener at `open` ("(" ↔ ")"). */
-std::size_t
-matchForward(const std::vector<Token> &toks, std::size_t open)
-{
-    const std::string &o = toks[open].text;
-    const std::string c = o == "(" ? ")" : (o == "[" ? "]" : "}");
-    int depth = 0;
-    for (std::size_t k = open; k < toks.size(); ++k) {
-        if (toks[k].kind != Token::Kind::Punct)
-            continue;
-        if (toks[k].text == o)
-            ++depth;
-        else if (toks[k].text == c && --depth == 0)
-            return k;
-    }
-    return toks.size();
-}
-
-/**
- * Skip a template-argument group: `i` points at '<' directly after an
- * identifier. Returns the index past the matching '>', or `i` itself
- * when no balanced group closes before `stop` (i.e. the '<' was a
- * comparison, not template syntax).
- */
-std::size_t
-skipAngles(const std::vector<Token> &toks, std::size_t i, std::size_t stop)
-{
-    int depth = 0;
-    for (std::size_t k = i; k < stop; ++k) {
-        if (toks[k].kind != Token::Kind::Punct)
-            continue;
-        if (toks[k].text == "<")
-            ++depth;
-        else if (toks[k].text == ">" && --depth == 0)
-            return k + 1;
-        else if (toks[k].text == ";")
-            break;
-    }
-    return i;
-}
-
-/** Names that can precede '(' without being a call/definition. */
-bool
-isControlKeyword(std::string_view s)
-{
-    static const std::set<std::string, std::less<>> kw = {
-        "if",       "for",      "while",    "switch",        "catch",
-        "return",   "sizeof",   "alignof",  "decltype",      "static_assert",
-        "new",      "delete",   "throw",    "do",            "else",
-        "case",     "default",  "break",    "continue",      "alignas",
-        "noexcept", "co_return", "co_await",
-    };
-    return kw.count(s) != 0;
-}
 
 // ------------------------------------------------------------------ CFG
 
@@ -650,29 +578,57 @@ bool
 isMemberSkipKeyword(std::string_view s)
 {
     static const std::set<std::string, std::less<>> kw = {
-        "using",  "typedef", "friend",    "static_assert", "template",
-        "enum",   "static",  "public",    "private",       "protected",
-        "operator",
+        "using",  "typedef", "friend",    "static_assert", "enum",
+        "public", "private", "protected", "operator",
     };
     return kw.count(s) != 0;
 }
 
 /**
- * Parse one member declaration starting at `i` inside a struct body
- * ending at `close`. Appends declared field names and returns the
- * index past the declaration (past ';', or past an inline method
- * body's closing '}').
+ * True when `name (` at `k` can declare a named function: not a
+ * keyword, not a macro (no lower-case letter), not a destructor and
+ * not an out-of-class definition (`X::f`).
+ */
+bool
+namesFunction(const std::vector<Token> &toks, std::size_t k)
+{
+    const std::string &name = toks[k].text;
+    return !isControlKeyword(name)
+           && std::any_of(name.begin(), name.end(),
+                          [](char c) { return c >= 'a' && c <= 'z'; })
+           && !(k > 0
+                && (isPunct(toks[k - 1], "::") || isPunct(toks[k - 1], "~")));
+}
+
+/**
+ * Parse one declaration starting at `i`, in a struct body or at
+ * namespace scope, ending by `close`. Appends declared instance field
+ * names to `fields`; when it declares a named function (not deleted,
+ * not an operator or destructor), sets `function` to its name and
+ * token range. Returns the index past the declaration (past ';', past
+ * an inline body's closing '}', or past a preprocessor directive).
  */
 std::size_t
 parseMember(const std::vector<Token> &toks, std::size_t i, std::size_t close,
-            std::vector<FieldDef> &fields)
+            std::vector<FieldDef> &fields, DeclDef &function)
 {
     bool in_init = false;
     bool is_method = false;
     bool saw_paren_group = false;
+    bool not_field = false; // static or templated
+    bool deleted = false;
+    std::size_t name_at = close;
     std::vector<FieldDef> names;
 
     std::size_t k = i;
+    if (isPunct(toks[i], "#")) { // a directive, `\`-continued lines too
+        for (int line = toks[k++].line;
+             k < close
+             && (toks[k].line == line || isPunct(toks[k - 1], "\\"));
+             ++k)
+            line = toks[k].line;
+        return k;
+    }
     while (k < close) {
         const Token &t = toks[k];
         if (t.kind == Token::Kind::Punct) {
@@ -682,6 +638,8 @@ parseMember(const std::vector<Token> &toks, std::size_t i, std::size_t close,
             }
             if (t.text == "=") {
                 in_init = true;
+                deleted = deleted
+                          || (k + 1 < close && isIdent(toks[k + 1], "delete"));
                 ++k;
                 continue;
             }
@@ -700,22 +658,28 @@ parseMember(const std::vector<Token> &toks, std::size_t i, std::size_t close,
                 continue;
             }
             if (t.text == "{") {
-                const std::size_t bc = matchForward(toks, k);
+                k = matchForward(toks, k) + 1;
                 if (is_method || (saw_paren_group && !in_init && names.empty())) {
                     // Inline method body ends the declaration; eat an
                     // optional trailing ';'.
-                    k = bc + 1;
                     if (k < close && isPunct(toks[k], ";"))
                         ++k;
-                    return k;
+                    break;
                 }
-                k = bc + 1; // brace initializer
-                continue;
+                continue; // brace initializer
             }
             ++k;
             continue;
         }
         if (t.kind == Token::Kind::Identifier && !in_init) {
+            if (t.text == "static" || t.text == "template") {
+                // Not an instance field, but maybe a member function.
+                not_field = true;
+                ++k;
+                if (k < close && isPunct(toks[k], "<"))
+                    k = std::max(skipAngles(toks, k, close), k + 1);
+                continue;
+            }
             if (isMemberSkipKeyword(t.text) && names.empty()) {
                 // Not an instance field; skip the whole declaration
                 // (handles nested enum bodies via the group skips).
@@ -751,6 +715,8 @@ parseMember(const std::vector<Token> &toks, std::size_t i, std::size_t close,
                     }
                 }
                 if (isPunct(nx, "(")) {
+                    if (!is_method && namesFunction(toks, k))
+                        name_at = k;
                     is_method = true;
                     ++k;
                     continue;
@@ -763,10 +729,131 @@ parseMember(const std::vector<Token> &toks, std::size_t i, std::size_t close,
         ++k;
     }
 
-    if (!is_method)
+    k = std::min(std::max(k, i + 1), close);
+    if (is_method && name_at < close && !deleted)
+        function = {toks[name_at].text, toks[name_at].line, i, k};
+    if (!is_method && !not_field)
         for (FieldDef &f : names)
             fields.push_back(std::move(f));
-    return std::min(std::max(k, i + 1), close);
+    return k;
+}
+
+/**
+ * Parse the class definition whose class-key is at `i`: its fields,
+ * its member functions and nested classes with their access.
+ * @return false for a forward declaration, an elaborated type or an
+ * anonymous class.
+ */
+bool
+parseStruct(const std::vector<Token> &toks, std::size_t i, StructDef &sd)
+{
+    const std::size_t n = toks.size();
+    std::size_t j = i + 1;
+    if (j >= n || toks[j].kind != Token::Kind::Identifier)
+        return false; // anonymous
+    sd.name = toks[j].text;
+    sd.line = toks[j].line;
+    ++j;
+    if (j < n && isIdent(toks[j], "final"))
+        ++j;
+    if (j < n && isPunct(toks[j], ":")) {
+        ++j; // base clause
+        while (j < n && !isPunct(toks[j], "{") && !isPunct(toks[j], ";")) {
+            if (toks[j].kind == Token::Kind::Identifier && j + 1 < n
+                && isPunct(toks[j + 1], "<")) {
+                const std::size_t past = skipAngles(toks, j + 1, n);
+                j = past != j + 1 ? past : j + 1;
+            } else {
+                ++j;
+            }
+        }
+    }
+    if (j >= n || !isPunct(toks[j], "{"))
+        return false; // forward declaration / elaborated type
+    const std::size_t close = matchForward(toks, j);
+    if (close >= n)
+        return false;
+    sd.begin = i;
+    sd.end = close + 1;
+
+    bool is_public = isIdent(toks[i], "struct");
+    std::size_t k = j + 1;
+    while (k < close) {
+        const Token &t = toks[k];
+        if (t.kind == Token::Kind::Identifier
+            && (t.text == "public" || t.text == "private"
+                || t.text == "protected")
+            && k + 1 < close && isPunct(toks[k + 1], ":")) {
+            is_public = t.text == "public";
+            k += 2;
+            continue;
+        }
+        if (isIdent(t, "struct") || isIdent(t, "class"))
+            sd.nested.push_back({t.text, t.line, k, k, is_public});
+        DeclDef method;
+        k = parseMember(toks, k, close, sd.fields, method);
+        method.is_public = is_public;
+        if (!method.name.empty() && method.name != sd.name)
+            sd.methods.push_back(std::move(method));
+    }
+    return true;
+}
+
+/** Append class `sd` and its public members and nested classes. */
+void
+exportClass(const std::vector<Token> &toks, const StructDef &sd,
+            const std::string &prefix, std::vector<DeclDef> &out)
+{
+    const std::string name = prefix + sd.name;
+    out.push_back({name, sd.line, sd.begin, sd.end});
+    for (const DeclDef &m : sd.methods)
+        if (m.is_public)
+            out.push_back({name + "::" + m.name, m.line, m.begin, m.end});
+    for (const DeclDef &inner : sd.nested) {
+        StructDef nested;
+        if (inner.is_public && parseStruct(toks, inner.begin, nested))
+            exportClass(toks, nested, name + "::", out);
+    }
+}
+
+/** Append what the namespace-scope declarations in [i, close) export. */
+void
+exportScope(const std::vector<Token> &toks, std::size_t i, std::size_t close,
+            std::vector<DeclDef> &out)
+{
+    std::vector<FieldDef> variables; // namespace-scope objects: unused
+    while (i < close) {
+        const Token &t = toks[i];
+        if (isIdent(t, "namespace")) { // an alias falls through
+            std::size_t j = i + 1;
+            while (j < close && !isPunct(toks[j], "{")
+                   && !isPunct(toks[j], ";"))
+                ++j;
+            if (j < close && isPunct(toks[j], "{")) {
+                const std::size_t end = matchForward(toks, j);
+                if (j > i + 1) // anonymous namespaces export nothing
+                    exportScope(toks, j + 1, std::min(end, close), out);
+                i = end + 1;
+                continue;
+            }
+        }
+        std::size_t head = i;
+        if (isIdent(t, "template") && i + 1 < close
+            && isPunct(toks[i + 1], "<"))
+            head = skipAngles(toks, i + 1, close);
+        StructDef sd;
+        if (head < close
+            && (isIdent(toks[head], "struct") || isIdent(toks[head], "class"))
+            && parseStruct(toks, head, sd)) {
+            exportClass(toks, sd, "", out);
+            i = sd.end;
+            continue;
+        }
+        DeclDef function;
+        i = parseMember(toks, i, close, variables, function);
+        if (!function.name.empty())
+            out.push_back(std::move(function));
+    }
 }
 
 } // namespace
@@ -775,59 +862,26 @@ std::vector<StructDef>
 indexStructs(const std::vector<Token> &toks, const std::string &file)
 {
     std::vector<StructDef> out;
-    const std::size_t n = toks.size();
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-        if (toks[i].kind != Token::Kind::Identifier
-            || (toks[i].text != "struct" && toks[i].text != "class"))
+    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+        if (!isIdent(toks[i], "struct") && !isIdent(toks[i], "class"))
             continue;
         if (i > 0 && (isIdent(toks[i - 1], "enum")
                       || isIdent(toks[i - 1], "friend")))
             continue;
-        std::size_t j = i + 1;
-        if (j >= n || toks[j].kind != Token::Kind::Identifier)
-            continue; // anonymous
         StructDef sd;
-        sd.name = toks[j].text;
-        sd.file = file;
-        sd.line = toks[j].line;
-        ++j;
-        if (j < n && isIdent(toks[j], "final"))
-            ++j;
-        if (j < n && isPunct(toks[j], ":")) {
-            ++j; // base clause
-            while (j < n && !isPunct(toks[j], "{") && !isPunct(toks[j], ";")) {
-                if (toks[j].kind == Token::Kind::Identifier && j + 1 < n
-                    && isPunct(toks[j + 1], "<")) {
-                    const std::size_t past = skipAngles(toks, j + 1, n);
-                    j = past != j + 1 ? past : j + 1;
-                } else {
-                    ++j;
-                }
-            }
-        }
-        if (j >= n || !isPunct(toks[j], "{"))
-            continue; // forward declaration / elaborated type
-        const std::size_t close = matchForward(toks, j);
-        if (close >= n)
+        if (!parseStruct(toks, i, sd))
             continue;
-
-        std::size_t k = j + 1;
-        while (k < close) {
-            if (toks[k].kind == Token::Kind::Identifier
-                && (toks[k].text == "public" || toks[k].text == "private"
-                    || toks[k].text == "protected")
-                && k + 1 < close && isPunct(toks[k + 1], ":")) {
-                k += 2;
-                continue;
-            }
-            if (isPunct(toks[k], ";")) {
-                ++k;
-                continue;
-            }
-            k = parseMember(toks, k, close, sd.fields);
-        }
+        sd.file = file;
         out.push_back(std::move(sd));
     }
+    return out;
+}
+
+std::vector<DeclDef>
+indexExported(const std::vector<Token> &toks)
+{
+    std::vector<DeclDef> out;
+    exportScope(toks, 0, toks.size(), out);
     return out;
 }
 

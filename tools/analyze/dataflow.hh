@@ -129,24 +129,52 @@ struct FieldDef
     int line = 1;
 };
 
-/** A struct/class definition and its data members. */
+/** A named declaration (a function or a class) and its tokens. */
+struct DeclDef
+{
+    std::string name;
+    int line = 1;
+    std::size_t begin = 0; ///< first token
+    std::size_t end = 0;   ///< one past the last token
+    bool is_public = true; ///< class members: declared under public:
+};
+
+/** A struct/class definition: data members, member functions. */
 struct StructDef
 {
     std::string name;
     std::string file;
     int line = 1;
     std::vector<FieldDef> fields;
+    /**
+     * Named member functions with their access; constructors,
+     * destructors, operators and deleted functions are left out.
+     */
+    std::vector<DeclDef> methods;
+    /** Nested class definitions: class-key token and access. */
+    std::vector<DeclDef> nested;
+    std::size_t begin = 0; ///< the class-key token
+    std::size_t end = 0;   ///< one past the closing brace
 };
 
 /**
- * Index struct/class definitions and their field names in `toks`.
- * Member functions, nested type definitions, using/typedef/static
- * members and friend declarations are skipped; initializers are not
+ * Index struct/class definitions in `toks`: field names and member
+ * functions. Nested type definitions, using/typedef/static members
+ * and friend declarations are not fields; initializers are not
  * mistaken for declarators. Nested structs are indexed as their own
  * entries.
  */
 std::vector<StructDef> indexStructs(const std::vector<lint::Token> &toks,
                                     const std::string &file);
+
+/**
+ * The functions and classes a header declares for other files to use:
+ * at namespace scope outside anonymous namespaces, and, recursively,
+ * the public member functions and nested classes of such a class.
+ * `name` is qualified by the enclosing classes ("Table::addRow"), not
+ * by namespaces. Built on the same parser as indexStructs.
+ */
+std::vector<DeclDef> indexExported(const std::vector<lint::Token> &toks);
 
 // ------------------------------------------------------------- passes
 

@@ -91,6 +91,7 @@ struct Finding
     int line = 1;
     std::string rule;    ///< stable rule id, e.g. "naked-mutex"
     std::string message; ///< pointed, single-line diagnostic
+    std::string symbol = {}; ///< the symbol reported, for per-symbol rules
 };
 
 /**

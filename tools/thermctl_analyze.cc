@@ -16,7 +16,7 @@
  * the same invocation, so run it over the whole tree (scripts/check.sh
  * --stage analyze does:
  * `thermctl_analyze --ci --json src/ tools/ tests/ bench/ examples/
- * --exclude tests/analyze/fixtures`).
+ * perf/ --exclude tests/analyze/fixtures`).
  *
  * --layers defaults to `.thermctl-layers` in the current directory when
  * that file exists; without a layers spec the layering pass is skipped
@@ -81,9 +81,11 @@ usage(std::ostream &os)
           " plus\nwhole-project static analysis: include-graph layering + "
           "cycles,\nunchecked must-check/[[nodiscard]] returns, static "
           "lock-order\nauditing, tainted-allocation bounds "
-          "(alloc-bound), and struct\nfield-coverage of "
-          "digest/encode/decode bodies (field-coverage).\nRun it over "
-          "the whole tree in one invocation.\n"
+          "(alloc-bound), struct\nfield-coverage of "
+          "digest/encode/decode bodies (field-coverage),\nand src/ "
+          "header functions and classes that nothing outside their "
+          "own\n.hh/.cc uses (dead-surface). Run it over the whole "
+          "tree in one\ninvocation.\n"
           "--pass: run only the named passes (see --list-rules).\n"
           "--allow-field: exclude Struct::field from field-coverage.\n"
           "--ci: stale allowlist entries fail the run (exit 1).\n"
