@@ -64,14 +64,17 @@
 #                  fresh-seed chaos_soak --cluster run (kill + stall +
 #                  respawn under a seeded supervisor)
 #   tsan           TSan build + parallel smokes under -fsanitize=thread:
-#                  test_sweep and test_multicore (the parallelFor pool and
-#                  the windowed multicore engine), the sweep engine on
+#                  test_sweep, test_multicore and test_sim (the
+#                  parallelFor pool, the windowed multicore engine and
+#                  the single-core cycle pipeline), the sweep engine on
 #                  that pool and its warm-cache read path with
 #                  THERMCTL_FAST=1, a 16-core budget-capped
-#                  percore-PID thermctl_run whose output must be
-#                  byte-identical to the plain build's, and a 4-core
-#                  two-point sweep at --jobs 2 (points on pool helpers
-#                  calling parallelFor again) that must match --jobs 1
+#                  percore-PID thermctl_run and a single-core 2x4 grid at
+#                  --jobs 1 (each point's side stage on a pool helper)
+#                  whose outputs must be byte-identical to the plain
+#                  build's, and a 4-core two-point sweep at --jobs 2
+#                  (points on pool helpers calling parallelFor again)
+#                  that must match --jobs 1
 #   fuzz-replay    corpus replay through the fuzz harnesses as plain
 #                  ctests; with clang++ present additionally a short
 #                  coverage-guided smoke (libFuzzer, -max_total_time=30
@@ -506,13 +509,13 @@ if want cluster-smoke; then
 fi
 
 if want tsan; then
-    stage "TSan parallel smokes (sweeps and multicore on the parallelFor pool)"
+    stage "TSan parallel smokes (sweeps, multicore and the cycle pipeline on the parallelFor pool)"
     cmake -B "${base}/tsan" -S . "-DTHERMCTL_SANITIZE=thread"
     cmake --build "${base}/tsan" -j "${jobs}" \
-        --target test_sweep test_multicore thermctl_run \
+        --target test_sweep test_multicore test_sim thermctl_run \
                  table4_characterization table6_structure_temps
     ctest --test-dir "${base}/tsan" --output-on-failure \
-        -R '^(test_sweep|test_multicore)$'
+        -R '^(test_sweep|test_multicore|test_sim)$'
     tsan_cache="$(mktemp -d)"
     trap 'rm -rf "${tsan_cache}"' EXIT
     # Cold run exercises the sweep on the pool + cache writes; the second
@@ -540,6 +543,21 @@ if want tsan; then
     "${base}/plain/tools/thermctl_run" ${chip_flags} \
         >"${tsan_cache}/chip.plain"
     cmp "${tsan_cache}/chip.tsan" "${tsan_cache}/chip.plain"
+
+    # Single-core points pipeline each simulated cycle: at --jobs 1 the
+    # point runs on the caller and its side stage (micro-op generation,
+    # power, thermal, DTM) on a pool helper. Race-free, and
+    # byte-identical to the plain build.
+    single_flags="--bench 186.crafty,179.art \
+        --policy none,PID,toggle1,vf-scaling --warmup 20000 \
+        --cycles 50000 --jobs 1 --no-cache"
+    # shellcheck disable=SC2086
+    "${base}/tsan/tools/thermctl_run" ${single_flags} \
+        >"${tsan_cache}/single.tsan"
+    # shellcheck disable=SC2086
+    "${base}/plain/tools/thermctl_run" ${single_flags} \
+        >"${tsan_cache}/single.plain"
+    cmp "${tsan_cache}/single.tsan" "${tsan_cache}/single.plain"
 
     # Sweep points run on the same pool, so at --jobs 2 a point on a
     # pool helper calls parallelFor again for its cores' windows: still

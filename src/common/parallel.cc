@@ -7,6 +7,10 @@
 #include <thread>
 #include <vector>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "common/mutex.hh"
 
 namespace thermctl
@@ -203,6 +207,38 @@ parallelFor(std::size_t n, const IndexFn &fn, std::size_t width)
     else
         job.work();
     job.join();
+}
+
+int
+currentCpu()
+{
+#ifdef __linux__
+    return sched_getcpu();
+#else
+    return -1;
+#endif
+}
+
+void
+moveOffCpu(int cpu)
+{
+#ifdef __linux__
+    if (cpu < 0 || cpu >= CPU_SETSIZE || sched_getcpu() != cpu)
+        return;
+    cpu_set_t allowed;
+    if (sched_getaffinity(0, sizeof allowed, &allowed) != 0)
+        return;
+    cpu_set_t elsewhere = allowed;
+    CPU_CLR(cpu, &elsewhere);
+    if (CPU_COUNT(&elsewhere) == 0)
+        return;
+    // Leaving `cpu` out of the mask migrates the thread at once; putting
+    // it back leaves the thread where it now is.
+    if (sched_setaffinity(0, sizeof elsewhere, &elsewhere) == 0)
+        sched_setaffinity(0, sizeof allowed, &allowed);
+#else
+    (void)cpu;
+#endif
 }
 
 } // namespace thermctl

@@ -12,6 +12,14 @@
  * callers (sweep points, serve dispatchers) share the helpers, and a
  * nested call from inside fn cannot deadlock. With no helpers (one CPU),
  * a single index or a width of 1, every index runs on the caller.
+ *
+ * Callers: SweepEngine (one index per point), MulticoreSimulator (one
+ * index per core within a sample window), and Simulator::run, whose two
+ * indices are the stages of its cycle pipeline (DESIGN.md §2.2): the core
+ * on the caller, and micro-op generation plus the power/thermal/DTM model
+ * on a free helper. Its core stage does the side stage's work itself
+ * while the side index waits for a helper, so a saturated pool runs it
+ * inline rather than waiting.
  */
 
 #ifndef THERMCTL_COMMON_PARALLEL_HH
@@ -39,6 +47,18 @@ namespace thermctl
  */
 void parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
                  std::size_t width = SIZE_MAX);
+
+/** The CPU the calling thread is running on, or -1 where unknown. */
+int currentCpu();
+
+/**
+ * A scheduling hint for a thread that works beside another one: when the
+ * calling thread runs on `cpu` and may run on another CPU, move it there.
+ * Its CPU affinity is the same on return. A pool helper woken to work
+ * beside its caller can land on the caller's CPU and stay there, each
+ * thread waiting on the other.
+ */
+void moveOffCpu(int cpu);
 
 } // namespace thermctl
 

@@ -20,8 +20,8 @@ DtmManager::DtmManager(const DtmConfig &cfg,
         fatal("DtmManager: sample interval must be positive");
 }
 
-bool
-DtmManager::tick(const TemperatureVector &truth, Cycle now)
+void
+DtmManager::observe(const TemperatureVector &truth, Cycle now)
 {
     THERMCTL_INVARIANT(check::verifyFinite(truth, "DtmManager::tick"));
 
@@ -35,29 +35,38 @@ DtmManager::tick(const TemperatureVector &truth, Cycle now)
         ++stats_.stress_cycles;
 
     // ------------------------------------------------------ sampling
-    if (now % cfg_.sample_interval == 0) {
-        const TemperatureVector sensed = sensors_.read(truth);
-        const DtmCommand cmd = policy_->onSample(sensed, now);
-        THERMCTL_INVARIANT(check::verifyFinite(
-            cmd.duty, "policy duty", "DtmManager::tick"));
-        ++stats_.samples;
-        stats_.duty_sum += cmd.duty;
+    // Samples fall on multiples of the interval; for non-decreasing
+    // cycles this equals testing now % interval on every call.
+    if (now < next_sample_)
+        return;
+    const Cycle phase = now % cfg_.sample_interval;
+    next_sample_ = now - phase + cfg_.sample_interval;
+    if (phase != 0)
+        return;
+    const TemperatureVector sensed = sensors_.read(truth);
+    const DtmCommand cmd = policy_->onSample(sensed, now);
+    THERMCTL_INVARIANT(check::verifyFinite(
+        cmd.duty, "policy duty", "DtmManager::tick"));
+    ++stats_.samples;
+    stats_.duty_sum += cmd.duty;
 
-        if (cfg_.engagement == EngagementMechanism::Direct) {
-            current_command_ = cmd;
-            toggler_.setDuty(cmd.duty);
-        } else if (!(cmd
-                     == (has_pending_ ? pending_command_
-                                      : current_command_))) {
-            // Interrupt-based: the change lands after the handler runs.
-            // A sample repeating the already-pending command does not
-            // re-arm (and hence postpone) the interrupt.
-            pending_command_ = cmd;
-            pending_at_ = now + cfg_.interrupt_delay;
-            has_pending_ = true;
-        }
+    if (cfg_.engagement == EngagementMechanism::Direct) {
+        current_command_ = cmd;
+        toggler_.setDuty(cmd.duty);
+    } else if (!(cmd
+                 == (has_pending_ ? pending_command_ : current_command_))) {
+        // Interrupt-based: the change lands after the handler runs.
+        // A sample repeating the already-pending command does not
+        // re-arm (and hence postpone) the interrupt.
+        pending_command_ = cmd;
+        pending_at_ = now + cfg_.interrupt_delay;
+        has_pending_ = true;
     }
+}
 
+bool
+DtmManager::actuate(Cycle now)
+{
     if (has_pending_ && now >= pending_at_) {
         current_command_ = pending_command_;
         toggler_.setDuty(pending_command_.duty);
@@ -66,7 +75,7 @@ DtmManager::tick(const TemperatureVector &truth, Cycle now)
 
     const bool allow = toggler_.allowFetch();
     if (toggler_.level() < toggler_.levels())
-        ++stats_.engaged_cycles;
+        ++engaged_cycles_;
     return allow;
 }
 

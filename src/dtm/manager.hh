@@ -93,10 +93,33 @@ class DtmManager
 
     /**
      * Observe the true temperatures for the current cycle and decide
-     * whether fetch is permitted next cycle.
+     * whether fetch is permitted next cycle: observe() then actuate().
      * @return true when fetch should be enabled.
      */
-    bool tick(const TemperatureVector &truth, Cycle now);
+    bool
+    tick(const TemperatureVector &truth, Cycle now)
+    {
+        observe(truth, now);
+        return actuate(now);
+    }
+
+    /**
+     * The measuring half of tick(): the emergency/stress statistics of
+     * `truth` and, when `now` is a multiple of the sample interval, the
+     * sensor read and policy sample. Cycles must not decrease from one
+     * call to the next. Between samples it touches only the statistics
+     * actuate() leaves alone, so the two halves of different cycles may
+     * run on different threads as long as every sample cycle's observe()
+     * happens before that cycle's actuate().
+     */
+    void observe(const TemperatureVector &truth, Cycle now);
+
+    /**
+     * The actuating half of tick(): land a due interrupt-delayed
+     * command, advance the fetch toggler and count engaged cycles.
+     * @return true when fetch should be enabled next cycle.
+     */
+    bool actuate(Cycle now);
 
     /**
      * The actuator command currently in force (after the engagement
@@ -106,10 +129,21 @@ class DtmManager
      */
     const DtmCommand &command() const { return current_command_; }
 
-    const DtmStats &stats() const { return stats_; }
+    DtmStats
+    stats() const
+    {
+        DtmStats s = stats_;
+        s.engaged_cycles = engaged_cycles_;
+        return s;
+    }
 
     /** Reset metrics (start of a measurement window). */
-    void resetStats() { stats_ = DtmStats{}; }
+    void
+    resetStats()
+    {
+        stats_ = DtmStats{};
+        engaged_cycles_ = 0;
+    }
 
     DtmPolicy &policy() { return *policy_; }
     const DtmConfig &config() const { return cfg_; }
@@ -119,14 +153,21 @@ class DtmManager
     ThermalConfig thermal_cfg_;
     std::unique_ptr<DtmPolicy> policy_;
     SensorBank sensors_;
-    FetchToggler toggler_;
 
+    // actuate()'s state, written every cycle. Simulator::run calls
+    // actuate() and observe() on different threads, so each half's
+    // per-cycle state has cache lines of its own.
+    alignas(64) FetchToggler toggler_;
     DtmCommand pending_command_{};
     Cycle pending_at_ = 0;
     bool has_pending_ = false;
     DtmCommand current_command_{};
+    std::uint64_t engaged_cycles_ = 0;
 
-    DtmStats stats_;
+    // observe()'s state, written every cycle.
+    /** No sample before this cycle; replaces a per-cycle modulo. */
+    alignas(64) Cycle next_sample_ = 0;
+    DtmStats stats_; ///< engaged_cycles stays 0 here; see stats()
 };
 
 } // namespace thermctl

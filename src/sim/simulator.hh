@@ -81,11 +81,20 @@ class Simulator
 {
   public:
     explicit Simulator(const SimConfig &cfg);
+    ~Simulator();
 
-    /** Advance one cycle. */
+    /** Advance one cycle, every layer inline on the calling thread. */
     void tick();
 
-    /** Advance n cycles. */
+    /**
+     * Advance n cycles, bit-identically to n tick() calls, as a
+     * two-stage pipeline on the parallelFor pool (DESIGN.md §2.2,
+     * "Cycle pipeline"): the core on the calling thread, micro-op generation
+     * ahead of it and the power/thermal/DTM model behind it on a free
+     * pool helper, or on the calling thread when none is free. A probe
+     * runs on the calling thread. After run() throws, the simulator's
+     * state is unspecified.
+     */
     void run(std::uint64_t n);
 
     /**
@@ -134,28 +143,54 @@ class Simulator
     double measuredPerformance() const;
 
   private:
+    /** The rings and flags shared by run()'s two stages. */
+    struct Pipeline;
+
+    /** Apply the DTM command in force to the core for cycle now_. */
+    void applyCommand();
+    /**
+     * Power, thermal step, statistics and DTM observation of one cycle
+     * whose core activity and clock scale are given.
+     */
+    void model(const CpuActivity &activity, double freq_scale,
+               Cycle cycle);
+    /** Model every recorded cycle; the caller owns the modelling task. */
+    void modelRecorded();
+    /**
+     * Wait until the model has reached cycle `target`, modelling here
+     * when no other thread is. @return the cycle the model reached.
+     */
+    Cycle awaitModel(Cycle target);
+    /** run()'s core stage: cycles [now_, end). */
+    void coreStage(Cycle end);
+    /** run()'s side stage: op production and modelling until done. */
+    void sideStage();
+
     SimConfig cfg_;
     std::unique_ptr<InstructionStream> workload_;
-    MemoryHierarchy memory_;
-    Core core_;
-    PowerModel power_;
-    Floorplan floorplan_;
-    SimplifiedRCModel thermal_;
-    FopdtPlant plant_;
+    /** Holds the op queue the core reads, so it precedes core_. */
+    std::unique_ptr<Pipeline> pipe_;
     std::unique_ptr<DtmManager> dtm_;
 
+    // The core stage's state.
+    MemoryHierarchy memory_;
+    Core core_;
     bool fetch_allowed_ = true;
     Cycle now_ = 0;
-    PowerVector last_power_;
-    SimulatorStats stats_;
-
-    // Voltage/frequency scaling state.
-    double freq_scale_ = 1.0;
+    double freq_scale_ = 1.0; ///< voltage/frequency scaling state
     Cycle resync_until_ = 0;
-    double measured_wall_seconds_ = 0.0;
-
     Probe probe_;
     Cycle probe_interval_ = 0;
+
+    // The model's state. run() writes it every cycle on another thread
+    // than the core stage's, so it starts on a cache line of its own.
+    alignas(64) PowerModel power_;
+    Floorplan floorplan_;
+    FopdtPlant plant_;
+    SimplifiedRCModel thermal_;
+    PowerVector last_power_;
+    SimulatorStats stats_;
+    double measured_wall_seconds_ = 0.0;
 };
 
 } // namespace thermctl

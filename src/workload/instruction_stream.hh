@@ -11,6 +11,8 @@
 #ifndef THERMCTL_WORKLOAD_INSTRUCTION_STREAM_HH
 #define THERMCTL_WORKLOAD_INSTRUCTION_STREAM_HH
 
+#include <cstdint>
+
 #include "isa/micro_op.hh"
 
 namespace thermctl
@@ -34,6 +36,25 @@ class InstructionStream
      * mispredicted branch resolves, but never commit.
      */
     virtual MicroOp synthesizeAt(Addr pc) = 0;
+
+    /**
+     * Produce the next correct-path micro-op for a consumer that draws
+     * ops ahead of the core: like next(), except that synthesizeAt()
+     * keeps answering as of the op last passed to take(). `tag`
+     * receives what take() needs for this op. May run on another thread
+     * than synthesizeAt() and take(), but never concurrently with
+     * next(), nextAhead() or done(). The default suits a stream whose
+     * synthesizeAt() does not depend on what next() has produced.
+     */
+    virtual MicroOp
+    nextAhead(std::uint32_t &tag)
+    {
+        tag = 0;
+        return next();
+    }
+
+    /** The core took the op that nextAhead() tagged `tag`. */
+    virtual void take(std::uint32_t tag) { (void)tag; }
 
     /**
      * @return true when the stream is exhausted. Synthetic workloads are

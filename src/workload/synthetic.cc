@@ -36,9 +36,9 @@ InstructionMix::total() const
 SyntheticWorkload::SyntheticWorkload(WorkloadProfile profile)
     : profile_(std::move(profile)),
       rng_(Rng(profile_.seed).fork(0xc0ffee)),
-      wrong_rng_(Rng(profile_.seed).fork(0xbad'bad)),
       recent_int_(kDestRing, kNoReg),
-      recent_fp_(kDestRing, kNoReg)
+      recent_fp_(kDestRing, kNoReg),
+      wrong_rng_(Rng(profile_.seed).fork(0xbad'bad))
 {
     if (profile_.num_blocks == 0)
         fatal("WorkloadProfile '", profile_.name, "': num_blocks must be > 0");
@@ -427,6 +427,22 @@ SyntheticWorkload::makeTerminator()
 MicroOp
 SyntheticWorkload::next()
 {
+    const MicroOp op = generate();
+    wrong_phase_ = static_cast<std::uint32_t>(phase_index_);
+    return op;
+}
+
+MicroOp
+SyntheticWorkload::nextAhead(std::uint32_t &tag)
+{
+    const MicroOp op = generate();
+    tag = static_cast<std::uint32_t>(phase_index_);
+    return op;
+}
+
+MicroOp
+SyntheticWorkload::generate()
+{
     MicroOp op;
     if (in_function_) {
         const Function &fn = functions_[cur_func_];
@@ -457,8 +473,8 @@ SyntheticWorkload::synthesizeAt(Addr pc)
     // predictors treat unknown PCs as not-taken anyway).
     MicroOp op;
     op.pc = pc;
-    op.op = kBodyClasses[wrong_rng_.weighted(eff().op_weights,
-                                             eff().op_total)];
+    const EffectiveParams &e = phase_params_[wrong_phase_];
+    op.op = kBodyClasses[wrong_rng_.weighted(e.op_weights, e.op_total)];
     const bool fp = isFpOp(op.op);
     // Wrong-path memory accesses mostly touch the same hot data the
     // correct path uses (the wrong path is nearby code), with occasional

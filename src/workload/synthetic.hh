@@ -33,6 +33,9 @@ class SyntheticWorkload : public InstructionStream
 
     MicroOp next() override;
     MicroOp synthesizeAt(Addr pc) override;
+    /** `tag` is the phase after the op, the one synthesizeAt() draws from. */
+    MicroOp nextAhead(std::uint32_t &tag) override;
+    void take(std::uint32_t tag) override { wrong_phase_ = tag; }
 
     const WorkloadProfile &profile() const { return profile_; }
 
@@ -81,6 +84,9 @@ class SyntheticWorkload : public InstructionStream
         double dep_log_q = 0.0;         ///< std::log(1.0 - dep_p)
     };
 
+    /** The correct-path op at the cursor; advances the cursor and phase. */
+    MicroOp generate();
+
     void buildProgram();
     /** Validate and derive the parameters of `phase` (null: no phases). */
     EffectiveParams phaseParams(const WorkloadPhase *phase) const;
@@ -116,7 +122,6 @@ class SyntheticWorkload : public InstructionStream
 
     WorkloadProfile profile_;
     Rng rng_;
-    Rng wrong_rng_;
 
     std::vector<Block> blocks_;
     std::vector<Function> functions_;
@@ -145,8 +150,19 @@ class SyntheticWorkload : public InstructionStream
     // phase machinery
     std::size_t phase_index_ = 0;
     std::uint64_t phase_insts_left_ = 0;
+
     /** One entry per phase (one in all when there are none). */
     std::vector<EffectiveParams> phase_params_;
+
+    // synthesizeAt()'s state. With ops drawn ahead, the core's thread
+    // writes it while another thread runs next(): a cache line apart.
+    alignas(64) Rng wrong_rng_;
+    /**
+     * The phase synthesizeAt() draws from: the one in force after the
+     * last op the core took, which is phase_index_ unless ops are drawn
+     * ahead through nextAhead().
+     */
+    std::uint32_t wrong_phase_ = 0;
 };
 
 } // namespace thermctl

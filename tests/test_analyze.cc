@@ -606,6 +606,28 @@ TEST(AnalyzePasses, FixedDecoderShapesParseAsGuarded)
     EXPECT_TRUE(checkAllocBound(model).empty());
 }
 
+TEST(AnalyzePasses, AllocBoundTaintsOnlyTheReaderApi)
+{
+    // Only ByteReader's own read methods are taint sources: a size read
+    // through a method the reader does not have (i64) is some other
+    // value, while the u64 read beside it still flags.
+    const ProjectModel model = ProjectModel::build(
+        {{"src/serve/wide.cc",
+          "bool\n"
+          "decodeWide(ByteReader &r, std::vector<int> &a,\n"
+          "           std::vector<int> &b)\n"
+          "{\n"
+          "    const std::uint64_t n = r.i64();\n"
+          "    a.reserve(n);\n"
+          "    const std::uint64_t m = r.u64();\n"
+          "    b.reserve(m);\n"
+          "    return r.ok();\n"
+          "}\n"}});
+    const std::vector<Finding> findings = checkAllocBound(model);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].line, 8);
+}
+
 // --------------------------------------------------------- field-coverage
 
 TEST(AnalyzePasses, FieldCoverageFlagsMissingDigestAndDecodeFields)

@@ -264,6 +264,20 @@ TEST(Manager, SamplesAtConfiguredInterval)
     EXPECT_EQ(mgr.stats().samples, 10u);
 }
 
+TEST(Manager, SamplesOnlyAtMultiplesOfTheInterval)
+{
+    // observe() tracks the next sample cycle instead of testing
+    // now % interval per call; for rising cycles that skip multiples or
+    // start off one, it must still sample exactly at the multiples.
+    DtmConfig cfg;
+    cfg.sample_interval = 10;
+    ThermalConfig thermal;
+    DtmManager mgr(cfg, thermal, std::make_unique<NoDtmPolicy>());
+    for (const Cycle c : {3, 5, 10, 14, 19, 20, 35, 41})
+        mgr.tick(uniformTemps(100.0), c);
+    EXPECT_EQ(mgr.stats().samples, 2u);
+}
+
 TEST(Manager, DirectEngagementGatesImmediately)
 {
     DtmConfig cfg;

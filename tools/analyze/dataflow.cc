@@ -893,9 +893,9 @@ namespace
 bool
 isReaderReadMethod(std::string_view s)
 {
+    // ByteReader's read methods (src/common/serialize.hh).
     static const std::set<std::string, std::less<>> m = {
-        "u8",  "u16", "u32",   "u64",    "i8",   "i16", "i32",
-        "i64", "f32", "f64",   "str",    "varint", "bytes",
+        "u8", "u32", "u64", "f64", "str",
     };
     return m.count(s) != 0;
 }
