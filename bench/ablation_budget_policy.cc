@@ -20,7 +20,6 @@
 
 #include "bench_util.hh"
 #include "common/table.hh"
-#include "multicore/multicore_sim.hh"
 #include "workload/spec_profiles.hh"
 
 using namespace thermctl;
@@ -28,7 +27,6 @@ using namespace thermctl;
 int
 main(int argc, char **argv)
 {
-    multicore::ensureBackendRegistered();
     bench::Session session(
         argc, argv,
         "Ablation: chip power-budget split policy",

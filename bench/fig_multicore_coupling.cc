@@ -28,7 +28,6 @@
 
 #include "bench_util.hh"
 #include "common/table.hh"
-#include "multicore/multicore_sim.hh"
 #include "workload/spec_profiles.hh"
 
 using namespace thermctl;
@@ -43,7 +42,6 @@ constexpr std::uint32_t kCoreCounts[] = {1, 2, 4, 8, 16};
 int
 main(int argc, char **argv)
 {
-    multicore::ensureBackendRegistered();
     bench::Session session(
         argc, argv, "Figure: multicore scaling and inter-core coupling",
         "extension (multicore thermal RC network; DESIGN.md section 15)");

@@ -126,6 +126,36 @@ stage() { printf '\n=== check.sh: %s ===\n' "$1"; }
 
 have_clangxx() { command -v clang++ >/dev/null 2>&1; }
 
+# Configure the ASan+UBSan tree (invariants on) and build TARGET...,
+# or every target when none is named.
+asan_build() {
+    cmake -B "${base}/asan" -S . -DTHERMCTL_INVARIANTS=ON \
+        "-DTHERMCTL_SANITIZE=address;undefined" >/dev/null
+    cmake --build "${base}/asan" -j "${jobs}" ${1:+--target} "$@"
+}
+
+# Wait up to 10 s for a daemon's socket SOCK; on timeout print its LOG
+# and fail.
+wait_for_socket() {
+    for _ in $(seq 100); do
+        [ -S "$1" ] && return 0
+        sleep 0.1
+    done
+    cat "$2"
+    exit 1
+}
+
+# SIGTERM the daemon PID: it must drain and exit 0, or its LOG is
+# printed and WHAT is named in the failure.
+expect_clean_drain() {
+    kill -TERM "$1"
+    if ! wait "$1"; then
+        echo "$3 did not drain cleanly on SIGTERM" >&2
+        cat "$2"
+        exit 1
+    fi
+}
+
 if want format; then
     stage "format check"
     ./scripts/format.sh --check
@@ -209,19 +239,13 @@ fi
 
 if want asan; then
     stage "ASan+UBSan build + ctest"
-    cmake -B "${base}/asan" -S . \
-        -DTHERMCTL_INVARIANTS=ON "-DTHERMCTL_SANITIZE=address;undefined"
-    cmake --build "${base}/asan" -j "${jobs}"
+    asan_build
     ctest --test-dir "${base}/asan" --output-on-failure -j "${jobs}"
 fi
 
 if want serve; then
     stage "serve smoke (ASan+UBSan daemon, concurrent clients)"
-    cmake -B "${base}/asan" -S . \
-        -DTHERMCTL_INVARIANTS=ON \
-        "-DTHERMCTL_SANITIZE=address;undefined" >/dev/null
-    cmake --build "${base}/asan" -j "${jobs}" \
-        --target thermctl_serve_bin thermctl_client thermctl_run
+    asan_build thermctl_serve_bin thermctl_client thermctl_run
     smoke_dir="$(mktemp -d)"
     serve_pid=""
     trap 'if [ -n "${serve_pid}" ]; then kill "${serve_pid}" 2>/dev/null || true; fi; rm -rf "${smoke_dir}"' EXIT
@@ -242,11 +266,7 @@ if want serve; then
         --fault-plan 'sched.batch=stall:ms=2000' \
         2>"${smoke_dir}/serve.log" &
     serve_pid=$!
-    for _ in $(seq 100); do
-        [ -S "${smoke_sock}" ] && break
-        sleep 0.1
-    done
-    [ -S "${smoke_sock}" ] || { cat "${smoke_dir}/serve.log"; exit 1; }
+    wait_for_socket "${smoke_sock}" "${smoke_dir}/serve.log"
 
     smoke_client() {
         "${base}/asan/tools/thermctl_client" --socket "${smoke_sock}" \
@@ -294,12 +314,8 @@ if want serve; then
         echo "serve smoke: toggle1 on 2 cores exited ${bad_rc}" >&2
         cat "${smoke_dir}/bad.err" >&2; exit 1; }
 
-    kill -TERM "${serve_pid}"
-    if ! wait "${serve_pid}"; then
-        echo "serve smoke: daemon did not drain cleanly on SIGTERM" >&2
-        cat "${smoke_dir}/serve.log"
-        exit 1
-    fi
+    expect_clean_drain "${serve_pid}" "${smoke_dir}/serve.log" \
+        "serve smoke: daemon"
     serve_pid=""
     [ ! -S "${smoke_sock}" ] || {
         echo "serve smoke: socket not unlinked on shutdown" >&2; exit 1; }
@@ -310,11 +326,7 @@ fi
 
 if want multicore; then
     stage "multicore smoke (ASan+UBSan 4-core run + serve round-trip)"
-    cmake -B "${base}/asan" -S . \
-        -DTHERMCTL_INVARIANTS=ON \
-        "-DTHERMCTL_SANITIZE=address;undefined" >/dev/null
-    cmake --build "${base}/asan" -j "${jobs}" \
-        --target thermctl_serve_bin thermctl_client thermctl_run
+    asan_build thermctl_serve_bin thermctl_client thermctl_run
     mc_dir="$(mktemp -d)"
     mc_pid=""
     trap 'if [ -n "${mc_pid}" ]; then kill "${mc_pid}" 2>/dev/null || true; fi; rm -rf "${mc_dir}"' EXIT
@@ -339,23 +351,15 @@ if want multicore; then
         --socket "${mc_sock}" --cache-dir "${mc_dir}/cache" \
         --jobs 4 2>"${mc_dir}/serve.log" &
     mc_pid=$!
-    for _ in $(seq 100); do
-        [ -S "${mc_sock}" ] && break
-        sleep 0.1
-    done
-    [ -S "${mc_sock}" ] || { cat "${mc_dir}/serve.log"; exit 1; }
+    wait_for_socket "${mc_sock}" "${mc_dir}/serve.log"
 
     # shellcheck disable=SC2086
     "${base}/asan/tools/thermctl_client" --socket "${mc_sock}" \
         ${mc_flags} >"${mc_dir}/served.out"
     cmp "${mc_dir}/served.out" "${mc_dir}/direct.out"
 
-    kill -TERM "${mc_pid}"
-    if ! wait "${mc_pid}"; then
-        echo "multicore smoke: daemon did not drain cleanly on SIGTERM" >&2
-        cat "${mc_dir}/serve.log"
-        exit 1
-    fi
+    expect_clean_drain "${mc_pid}" "${mc_dir}/serve.log" \
+        "multicore smoke: daemon"
     mc_pid=""
     rm -rf "${mc_dir}"
     trap - EXIT
@@ -363,11 +367,7 @@ fi
 
 if want loadgen-smoke; then
     stage "loadgen smoke (open loop against the event-driven core)"
-    cmake -B "${base}/asan" -S . \
-        -DTHERMCTL_INVARIANTS=ON \
-        "-DTHERMCTL_SANITIZE=address;undefined" >/dev/null
-    cmake --build "${base}/asan" -j "${jobs}" \
-        --target thermctl_serve_bin thermctl_loadgen
+    asan_build thermctl_serve_bin thermctl_loadgen
     lg_dir="$(mktemp -d)"
     lg_pid=""
     trap 'if [ -n "${lg_pid}" ]; then kill "${lg_pid}" 2>/dev/null || true; fi; rm -rf "${lg_dir}"' EXIT
@@ -376,16 +376,12 @@ if want loadgen-smoke; then
         --socket "${lg_sock}" --cache-dir "${lg_dir}/cache" \
         --jobs 4 --workers 4 2>"${lg_dir}/serve.log" &
     lg_pid=$!
-    for _ in $(seq 100); do
-        [ -S "${lg_sock}" ] && break
-        sleep 0.1
-    done
-    [ -S "${lg_sock}" ] || { cat "${lg_dir}/serve.log"; exit 1; }
+    wait_for_socket "${lg_sock}" "${lg_dir}/serve.log"
 
     # Exit 0 already asserts zero transport/protocol errors and zero
     # refusals; the JSON probe double-checks real throughput happened.
     # --cores 2 routes every generated run/sweep point through the
-    # multicore engine backend.
+    # multicore engine.
     THERMCTL_FAST=1 "${base}/asan/tools/thermctl_loadgen" \
         --socket "${lg_sock}" --rate 30 --conns 2 --duration 3 \
         --seed 42 --cores 2 --json "${lg_dir}/BENCH_serve.json" \
@@ -398,12 +394,8 @@ if want loadgen-smoke; then
         exit 1
     }
 
-    kill -TERM "${lg_pid}"
-    if ! wait "${lg_pid}"; then
-        echo "loadgen smoke: daemon did not drain cleanly on SIGTERM" >&2
-        cat "${lg_dir}/serve.log"
-        exit 1
-    fi
+    expect_clean_drain "${lg_pid}" "${lg_dir}/serve.log" \
+        "loadgen smoke: daemon"
     lg_pid=""
     rm -rf "${lg_dir}"
     trap - EXIT
@@ -411,10 +403,7 @@ fi
 
 if want chaos-smoke; then
     stage "chaos smoke (ASan+UBSan soak under a randomized fault plan)"
-    cmake -B "${base}/asan" -S . \
-        -DTHERMCTL_INVARIANTS=ON \
-        "-DTHERMCTL_SANITIZE=address;undefined" >/dev/null
-    cmake --build "${base}/asan" -j "${jobs}" --target chaos_soak
+    asan_build chaos_soak
     # Fresh seed every run: the soak is deterministic per seed, so a
     # failure is replayable with the seed echoed below.
     chaos_seed="$(date +%s)"
@@ -430,11 +419,7 @@ fi
 
 if want cluster-smoke; then
     stage "cluster smoke (coordinator + 3 workers, one SIGKILLed mid-sweep)"
-    cmake -B "${base}/asan" -S . \
-        -DTHERMCTL_INVARIANTS=ON \
-        "-DTHERMCTL_SANITIZE=address;undefined" >/dev/null
-    cmake --build "${base}/asan" -j "${jobs}" \
-        --target thermctl_serve_bin thermctl_coord thermctl_run chaos_soak
+    asan_build thermctl_serve_bin thermctl_coord thermctl_run chaos_soak
     cl_dir="$(mktemp -d)"
     cl_pids=""
     trap 'for p in ${cl_pids}; do kill -9 "${p}" 2>/dev/null || true; done; rm -rf "${cl_dir}"' EXIT
@@ -447,11 +432,7 @@ if want cluster-smoke; then
         cl_pids="${cl_pids} $!"
     done
     for i in 1 2 3; do
-        for _ in $(seq 100); do
-            [ -S "${cl_dir}/w${i}.sock" ] && break
-            sleep 0.1
-        done
-        [ -S "${cl_dir}/w${i}.sock" ] || { cat "${cl_dir}/w${i}.log"; exit 1; }
+        wait_for_socket "${cl_dir}/w${i}.sock" "${cl_dir}/w${i}.log"
     done
 
     # Reference: the same grid run directly, in grid order (benchmarks
@@ -483,12 +464,8 @@ if want cluster-smoke; then
     # Surviving workers must drain cleanly on SIGTERM.
     for i in 1 3; do
         eval "wp=\${w${i}_pid}"
-        kill -TERM "${wp}"
-        if ! wait "${wp}"; then
-            echo "cluster smoke: worker ${i} did not drain cleanly" >&2
-            cat "${cl_dir}/w${i}.log" >&2
-            exit 1
-        fi
+        expect_clean_drain "${wp}" "${cl_dir}/w${i}.log" \
+            "cluster smoke: worker ${i}"
     done
     wait "${w2_pid}" 2>/dev/null || true
     cl_pids=""

@@ -26,8 +26,6 @@ class BimodalPredictor
     /** Train the counter for pc with the resolved direction. */
     void update(Addr pc, bool taken);
 
-    std::size_t entries() const { return table_.size(); }
-
   private:
     std::size_t index(Addr pc) const;
     std::vector<Counter2> table_;

@@ -32,8 +32,6 @@ class BranchTargetBuffer
     /** Insert/refresh the target for pc (LRU within the set). */
     void update(Addr pc, Addr target);
 
-    std::size_t entries() const { return sets_.size() * ways_; }
-
   private:
     struct Entry
     {

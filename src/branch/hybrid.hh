@@ -64,9 +64,6 @@ class HybridPredictor
 
     const BranchPredictorStats &stats() const { return stats_; }
 
-    /** @return current (speculative) global history value. */
-    std::uint32_t history() const { return history_; }
-
   private:
     BimodalPredictor bimod_;
     GAgPredictor gag_;

@@ -93,18 +93,6 @@ Cache::access(Addr addr, bool is_write)
     return result;
 }
 
-bool
-Cache::contains(Addr addr) const
-{
-    const std::uint32_t set = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    const Line *base = &lines_[static_cast<std::size_t>(set) * cfg_.assoc];
-    for (std::uint32_t w = 0; w < cfg_.assoc; ++w)
-        if (base[w].valid && base[w].tag == tag)
-            return true;
-    return false;
-}
-
 void
 Cache::flush()
 {

@@ -71,9 +71,6 @@ class Cache
      */
     CacheAccessResult access(Addr addr, bool is_write);
 
-    /** @return true if the block containing addr is currently resident. */
-    bool contains(Addr addr) const;
-
     /** Invalidate all blocks (dirty contents discarded). */
     void flush();
 

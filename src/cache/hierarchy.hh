@@ -71,7 +71,6 @@ class MemoryHierarchy
     const Cache &l1i() const { return l1i_; }
     const Cache &l1d() const { return l1d_; }
     const Cache &l2() const { return l2_; }
-    const Tlb &tlb() const { return tlb_; }
 
     /** Activity counters accumulated since the last resetActivity(). */
     const HierarchyActivity &activity() const { return activity_; }

@@ -1,7 +1,6 @@
 #include "common/stats.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/logging.hh"
 
@@ -146,19 +145,6 @@ Histogram::quantile(double q) const
         running = next;
     }
     return hi_;
-}
-
-std::string
-Histogram::summary() const
-{
-    std::ostringstream os;
-    os << "n=" << total_
-       << " p50=" << quantile(0.5)
-       << " p90=" << quantile(0.9)
-       << " p99=" << quantile(0.99)
-       << " under=" << underflow_
-       << " over=" << overflow_;
-    return os.str();
 }
 
 } // namespace thermctl

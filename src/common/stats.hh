@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace thermctl
@@ -89,13 +88,9 @@ class Histogram
     void add(double x);
 
     std::uint64_t total() const { return total_; }
-    std::size_t bins() const { return counts_.size(); }
 
     /** Linear-interpolated quantile estimate, q in [0, 1]. */
     double quantile(double q) const;
-
-    /** Render a compact one-line textual summary. */
-    std::string summary() const;
 
   private:
     double binLow(std::size_t bin) const;

@@ -73,9 +73,6 @@ class PidController
      */
     double update(double measurement);
 
-    /** @return the most recent output (out_max before the first step). */
-    double output() const { return output_; }
-
     /** Reset dynamic state (integral, derivative history). */
     void reset();
 

@@ -29,12 +29,6 @@ FetchToggler::setLevel(std::uint32_t level)
     level_ = std::min(level, levels_);
 }
 
-double
-FetchToggler::duty() const
-{
-    return static_cast<double>(level_) / static_cast<double>(levels_);
-}
-
 bool
 FetchToggler::allowFetch()
 {

@@ -45,9 +45,6 @@ class FetchToggler
     /** @return current discrete level in [0, levels]. */
     std::uint32_t level() const { return level_; }
 
-    /** @return the realized duty fraction level/levels. */
-    double duty() const;
-
     /** @return whether fetch is permitted this cycle; advances state. */
     bool allowFetch();
 

@@ -80,7 +80,6 @@ class ChipModel
     }
 
     Celsius heatsinkTemperature() const { return t_sink_; }
-    std::size_t numCores() const { return temps_.size(); }
 
     /** Lateral paths between each adjacent core pair (tests). */
     const std::vector<CouplingPath> &couplingPaths() const

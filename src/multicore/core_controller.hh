@@ -60,8 +60,6 @@ class FixedPidCoreController : public CoreController
     double update(Celsius hottest) override;
     const char *name() const override { return "percore-PID"; }
 
-    const PidController &pid() const { return pid_; }
-
   private:
     PidController pid_;
 };
@@ -113,15 +111,15 @@ class AdjustableIntegralController : public CoreController
     double update(Celsius hottest) override;
     const char *name() const override { return "adj-integral"; }
 
-    /** Current adapted gain g[k] (tests/telemetry). */
-    double gain() const;
-
-    /** Current plant-sensitivity estimate b_hat (tests/telemetry). */
+    /** Current plant-sensitivity estimate b_hat (tests). */
     double sensitivity() const { return b_hat_; }
 
     const AdjustableIntegralConfig &config() const { return cfg_; }
 
   private:
+    /** Current adapted gain g[k]. */
+    double gain() const;
+
     AdjustableIntegralConfig cfg_;
     double u_;      ///< current output
     double b_hat_;  ///< plant-sensitivity estimate, K per unit duty

@@ -26,14 +26,8 @@ makeController(const SimConfig &cfg, const FopdtPlant &plant)
         * cfg.power.tech.cycleSeconds();
 
     const auto make_pid = [&](ControllerKind kind, Celsius setpoint) {
-        PidConfig pc = tuneLoopShaping(kind, plant, s.shaping);
-        pc.setpoint = setpoint;
-        pc.dt = sample_dt;
-        pc.out_min = 0.0;
-        pc.out_max = 1.0;
-        pc.anti_windup = AntiWindup::Conditional;
-        pc.integral_init = pc.out_max; // cool core starts at full speed
-        return std::make_unique<FixedPidCoreController>(pc);
+        return std::make_unique<FixedPidCoreController>(
+            ctPidConfig(kind, plant, s.shaping, setpoint, sample_dt));
     };
 
     switch (s.kind) {
@@ -325,9 +319,6 @@ MulticoreSimulator::committedTotal() const
     return total;
 }
 
-namespace
-{
-
 RunResult
 runMulticoreOne(const SimConfig &cfg, const RunProtocol &proto)
 {
@@ -337,7 +328,7 @@ runMulticoreOne(const SimConfig &cfg, const RunProtocol &proto)
 
     const ChipStats &s = sim.stats();
     const double nom = static_cast<double>(s.nominal_cycles);
-    const double ncores = static_cast<double>(sim.numCores());
+    const double ncores = static_cast<double>(cfg.multicore.num_cores);
 
     RunResult r;
     r.benchmark = cfg.workload.name;
@@ -384,14 +375,6 @@ runMulticoreOne(const SimConfig &cfg, const RunProtocol &proto)
             : 0.0;
     }
     return r;
-}
-
-} // namespace
-
-void
-ensureBackendRegistered()
-{
-    registerMulticoreBackend(&runMulticoreOne);
 }
 
 } // namespace thermctl::multicore

@@ -87,7 +87,6 @@ class MulticoreSimulator
 
     const ChipStats &stats() const { return stats_; }
     const SimConfig &config() const { return cfg_; }
-    std::size_t numCores() const { return cores_.size(); }
 
     /** Core-c clock scale currently commanded (tests). */
     double freqScale(std::size_t c) const
@@ -153,14 +152,19 @@ class MulticoreSimulator
 };
 
 /**
- * Install the engine's multicore backend, which runs one multicore
- * config under the warm-up/measure protocol and aggregates chip metrics
- * into the single-core RunResult shape (per-structure details are
- * means/maxima across cores; powers are chip totals). Idempotent;
- * every entry point that may see multicore configs calls this at
- * startup (tool mains, Scheduler, benches, tests).
+ * Run one multicore config under the warm-up/measure protocol and
+ * aggregate the chip metrics into the single-core RunResult shape
+ * (per-structure details are means/maxima across cores; powers are
+ * chip totals). ExperimentRunner::runOne calls it for every config
+ * needsMulticoreEngine selects.
  */
-void ensureBackendRegistered();
+RunResult runMulticoreOne(const SimConfig &cfg, const RunProtocol &proto);
+
+/** Nothing to set up; kept under the name the perf harness calls. */
+inline void
+ensureBackendRegistered()
+{
+}
 
 } // namespace thermctl::multicore
 

@@ -1,30 +1,16 @@
 #include "sim/experiment.hh"
 
-#include <atomic>
-
-#include "common/logging.hh"
+#include "multicore/multicore_sim.hh"
 
 namespace thermctl
 {
-
-namespace
-{
-
-std::atomic<MulticoreRunFn> g_multicore_backend{nullptr};
-
-} // namespace
-
-void
-registerMulticoreBackend(MulticoreRunFn fn)
-{
-    g_multicore_backend.store(fn, std::memory_order_release);
-}
 
 bool
 needsMulticoreEngine(const SimConfig &cfg)
 {
     return cfg.multicore.num_cores > 1
-        || isMulticorePolicy(cfg.policy.kind);
+        || cfg.policy.kind == DtmPolicyKind::PerCorePid
+        || cfg.policy.kind == DtmPolicyKind::AdjIntegral;
 }
 
 ExperimentRunner::ExperimentRunner(const RunProtocol &protocol)
@@ -41,17 +27,8 @@ ExperimentRunner::runOne(const WorkloadProfile &profile,
     cfg.workload = profile;
     cfg.policy = policy;
 
-    if (needsMulticoreEngine(cfg)) {
-        const MulticoreRunFn fn =
-            g_multicore_backend.load(std::memory_order_acquire);
-        if (!fn) {
-            fatal("multicore config (num_cores=", cfg.multicore.num_cores,
-                  ", policy=", dtmPolicyKindName(cfg.policy.kind),
-                  ") but no multicore backend registered; call "
-                  "multicore::ensureBackendRegistered() at startup");
-        }
-        return fn(cfg, protocol_);
-    }
+    if (needsMulticoreEngine(cfg))
+        return multicore::runMulticoreOne(cfg, protocol_);
 
     Simulator sim(cfg);
     sim.warmUp(protocol_.warmup_cycles);

@@ -62,23 +62,11 @@ struct RunResult
 };
 
 /**
- * Multicore engine backend hook. The engine layer cannot include
- * src/multicore (it sits above engine in .thermctl-layers), so the
- * multicore subsystem registers its run function here at startup and
- * ExperimentRunner::runOne dispatches multicore configs to it. Entry
- * points that may see multicore configs call
- * multicore::ensureBackendRegistered() explicitly (static initializers
- * in a static archive are dead-stripped).
- */
-using MulticoreRunFn = RunResult (*)(const SimConfig &,
-                                     const RunProtocol &);
-
-/** Install the multicore backend (idempotent; last writer wins). */
-void registerMulticoreBackend(MulticoreRunFn fn);
-
-/**
- * @return true when `cfg` needs the multicore engine: more than one
- * core, or a policy kind only the multicore engine implements.
+ * @return true when `cfg` needs the multicore engine
+ * (multicore::runMulticoreOne): more than one core, or a policy kind
+ * only the multicore engine implements (PerCorePid, AdjIntegral;
+ * makeDtmPolicy panics on them). ExperimentRunner::runOne dispatches
+ * on it; this is the one place that picks the engine.
  */
 bool needsMulticoreEngine(const SimConfig &cfg);
 

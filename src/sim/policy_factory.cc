@@ -55,13 +55,6 @@ parseBudgetPolicy(const std::string &name, BudgetPolicy &out)
     return false;
 }
 
-bool
-isMulticorePolicy(DtmPolicyKind kind)
-{
-    return kind == DtmPolicyKind::PerCorePid
-        || kind == DtmPolicyKind::AdjIntegral;
-}
-
 namespace
 {
 
@@ -144,6 +137,21 @@ deriveDtmPlant(const Floorplan &floorplan, const PowerModel &power,
     return plant;
 }
 
+PidConfig
+ctPidConfig(ControllerKind kind, const FopdtPlant &plant,
+            const LoopShapingSpec &shaping, Celsius setpoint,
+            Seconds sample_dt)
+{
+    PidConfig cfg = tuneLoopShaping(kind, plant, shaping);
+    cfg.setpoint = setpoint;
+    cfg.dt = sample_dt;
+    cfg.out_min = 0.0;
+    cfg.out_max = 1.0;
+    cfg.anti_windup = AntiWindup::Conditional;
+    cfg.integral_init = cfg.out_max;
+    return cfg;
+}
+
 namespace
 {
 
@@ -170,14 +178,10 @@ makeInnerPolicy(const DtmPolicySettings &settings, const FopdtPlant &plant,
 
     auto make_ct = [&](ControllerKind kind, Celsius setpoint,
                        Celsius range_low) {
-        PidConfig cfg = tuneLoopShaping(kind, plant, settings.shaping);
-        cfg.setpoint = setpoint;
-        cfg.dt = sample_dt;
-        cfg.out_min = 0.0;
-        cfg.out_max = 1.0;
-        cfg.anti_windup = AntiWindup::Conditional;
-        cfg.integral_init = cfg.out_max; // cool chip starts at full speed
-        return std::make_unique<CtPolicy>(kind, cfg, range_low);
+        return std::make_unique<CtPolicy>(
+            kind,
+            ctPidConfig(kind, plant, settings.shaping, setpoint, sample_dt),
+            range_low);
     };
 
     switch (settings.kind) {

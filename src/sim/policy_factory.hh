@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "control/plant.hh"
+#include "control/tuning.hh"
 #include "dtm/policy.hh"
 #include "power/model.hh"
 #include "sim/config.hh"
@@ -39,13 +40,6 @@ DtmPolicyKind requireDtmPolicyKind(const std::string &name);
 bool parseBudgetPolicy(const std::string &name, BudgetPolicy &out);
 
 /**
- * @return true for the policy kinds that only run inside the multicore
- * engine (PerCorePid, AdjIntegral). makeDtmPolicy panics on them; the
- * experiment runner dispatches such configs to the multicore backend.
- */
-bool isMulticorePolicy(DtmPolicyKind kind);
-
-/**
  * Fatal unless the multicore engine runs `kind`. Holds the one list of
  * those kinds, read by serve::resolvePoint and multicore::makeController.
  */
@@ -63,6 +57,16 @@ void requireMulticoreEnginePolicy(DtmPolicyKind kind);
 FopdtPlant deriveDtmPlant(const Floorplan &floorplan,
                           const PowerModel &power, const DtmConfig &dtm,
                           Seconds cycle_seconds);
+
+/**
+ * The PID config of a CT controller in either engine: loop-shaping
+ * gains for `kind` on `plant`, one step per `sample_dt`, the output on
+ * the duty range [0, 1] with conditional anti-windup, and the integral
+ * starting at full speed (a cool chip is not throttled).
+ */
+PidConfig ctPidConfig(ControllerKind kind, const FopdtPlant &plant,
+                      const LoopShapingSpec &shaping, Celsius setpoint,
+                      Seconds sample_dt);
 
 /** Construct the configured policy (gains tuned for CT kinds). */
 std::unique_ptr<DtmPolicy> makeDtmPolicy(const DtmPolicySettings &settings,

@@ -123,7 +123,6 @@ class Simulator
     const Core &core() const { return core_; }
     const SimplifiedRCModel &thermal() const { return thermal_; }
     const DtmManager &dtm() const { return *dtm_; }
-    const PowerModel &power() const { return power_; }
     const SimulatorStats &stats() const { return stats_; }
     const SimConfig &config() const { return cfg_; }
     const PowerVector &lastPower() const { return last_power_; }

@@ -120,7 +120,6 @@ class SimplifiedRCModel
 
     const ThermalConfig &config() const { return cfg_; }
     const Floorplan &floorplan() const { return floorplan_; }
-    Seconds dt() const { return dt_; }
 
   private:
     const Floorplan &floorplan_;

@@ -37,8 +37,6 @@ class SyntheticWorkload : public InstructionStream
     MicroOp nextAhead(std::uint32_t &tag) override;
     void take(std::uint32_t tag) override { wrong_phase_ = tag; }
 
-    const WorkloadProfile &profile() const { return profile_; }
-
     /** Index of the currently active phase (0 when no phases defined). */
     std::size_t currentPhase() const { return phase_index_; }
 

@@ -11,6 +11,10 @@ class Widget
     int onlyTested() const;  // called only from a unit test: dead
     int allowedHook() const; // called only from a unit test: dead
     int helper() const;      // called only from widget.cc: internal
+    int viaArrow() const;    // called through -> from tools/: clean
+    // Called only from a unit test; src/gauge/gauge.cc reads an
+    // unrelated field of the same name, which is no call: dead.
+    int reading() const;
 
   private:
     int secret() const; // private: never reported

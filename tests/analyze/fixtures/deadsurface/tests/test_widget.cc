@@ -4,5 +4,5 @@ int
 testWidget()
 {
     const Widget w;
-    return w.onlyTested() + w.allowedHook() + w.live();
+    return w.onlyTested() + w.allowedHook() + w.live() + w.reading();
 }

@@ -3,5 +3,7 @@
 int
 main()
 {
-    return Widget().live() + widgetCount();
+    const Widget w;
+    const Widget *p = &w;
+    return w.live() + p->viaArrow() + widgetCount();
 }

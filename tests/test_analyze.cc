@@ -726,8 +726,8 @@ namespace
 
 const std::vector<std::string> kWidgetTree = {
     "deadsurface/src/widget/widget.hh", "deadsurface/src/widget/widget.cc",
-    "deadsurface/tools/use_widget.cc", "deadsurface/perf/bench_widget.cc",
-    "deadsurface/tests/test_widget.cc"};
+    "deadsurface/src/gauge/gauge.cc",   "deadsurface/tools/use_widget.cc",
+    "deadsurface/perf/bench_widget.cc", "deadsurface/tests/test_widget.cc"};
 
 /** symbol -> the finding's kind ("dead" or "internal"). */
 std::map<std::string, std::string>
@@ -747,11 +747,15 @@ deadSurface(const std::vector<std::string> &files)
 
 TEST(AnalyzePasses, DeadSurfaceFlagsTestOnlyAndInternalSymbols)
 {
-    // live() (tools/), perfHook() (perf/), widgetCount() and the class
-    // itself are clean; the private secret() is never reported.
+    // live() (tools/), perfHook() (perf/), viaArrow() (tools/, through
+    // ->), widgetCount() and the class itself are clean; the private
+    // secret() is never reported. reading() is dead although a field of
+    // that name is read in src/: a member counts only as `.f(`, `->f(`
+    // or `::f`.
     const std::map<std::string, std::string> expected = {
         {"Widget::onlyTested", "dead"},
         {"Widget::allowedHook", "dead"},
+        {"Widget::reading", "dead"},
         {"Widget::helper", "internal"}};
     EXPECT_EQ(deadSurface(kWidgetTree), expected);
 }
@@ -988,6 +992,8 @@ TEST(AnalyzeCli, DeadSurfaceAllowEntriesAndCiStaleness)
         "dead-surface deadsurface/src/widget/widget.hh Widget::onlyTested "
         "planted\n"
         "dead-surface deadsurface/src/widget/widget.hh Widget::helper "
+        "planted\n"
+        "dead-surface deadsurface/src/widget/widget.hh Widget::reading "
         "planted\n";
     auto run = [&](const std::string &allow_text, const char *flags) {
         writeText(tmp.path / "allow", allow_text);

@@ -182,15 +182,16 @@ TEST(Hybrid, LearnsBiasedBranch)
     EXPECT_EQ(p.target, 0x2000u);
 }
 
+// The global history a prediction sees is its history_checkpoint, so
+// the next prediction's checkpoint is the history after this one.
+
 TEST(Hybrid, SpeculativeHistoryUpdatedAtPredict)
 {
     HybridPredictor pred;
     MicroOp op = condBranch(0x1000, true, 0x2000);
-    const auto before = pred.history();
     auto p = pred.predict(op);
-    EXPECT_EQ(p.history_checkpoint, before);
-    EXPECT_EQ(pred.history(),
-              ((before << 1) | (p.taken ? 1u : 0u)) & 0xfffu);
+    EXPECT_EQ(pred.predict(op).history_checkpoint,
+              ((p.history_checkpoint << 1) | (p.taken ? 1u : 0u)) & 0xfffu);
 }
 
 TEST(Hybrid, RepairRebuildsHistoryWithActualOutcome)
@@ -199,7 +200,7 @@ TEST(Hybrid, RepairRebuildsHistoryWithActualOutcome)
     MicroOp op = condBranch(0x1000, true, 0x2000);
     auto p = pred.predict(op);
     pred.repairAfterMispredict(op, p);
-    EXPECT_EQ(pred.history(),
+    EXPECT_EQ(pred.predict(op).history_checkpoint,
               ((p.history_checkpoint << 1) | 1u) & 0xfffu);
 }
 

@@ -232,12 +232,13 @@ TEST(Instrumented, PidUpdateContractHoldsUnderSaturation)
     PidController pid(cfg);
     // Drive deep into both saturation rails; the contract check runs on
     // every update.
+    double u = 0.5;
     for (int i = 0; i < 1000; ++i)
-        pid.update(130.0);
-    EXPECT_DOUBLE_EQ(pid.output(), 0.0);
+        u = pid.update(130.0);
+    EXPECT_DOUBLE_EQ(u, 0.0);
     for (int i = 0; i < 1000; ++i)
-        pid.update(90.0);
-    EXPECT_DOUBLE_EQ(pid.output(), 1.0);
+        u = pid.update(90.0);
+    EXPECT_DOUBLE_EQ(u, 1.0);
 }
 
 #endif // THERMCTL_INVARIANTS_ENABLED

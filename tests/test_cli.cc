@@ -105,15 +105,47 @@ TEST(ParseFlag, RejectsEverythingElseAsFatal)
 
 TEST(CliExitCodes, MalformedNumericFlagsExitTwo)
 {
+    // The grid flags on every grid CLI, then one malformed value per
+    // numeric or enumerated flag of each daemon and tool. Each fails
+    // while parsing, before a socket is bound or dialed; the timeout
+    // only turns a value that parses after all into a failure instead
+    // of a hang.
+    struct Case
+    {
+        const char *bin;
+        const char *args;
+    };
+    std::vector<Case> cases;
     for (const char *bin :
          {THERMCTL_RUN_BIN, THERMCTL_CLIENT_BIN, THERMCTL_COORD_BIN}) {
         for (const char *flags :
-             {"--setpoint ''", "--cores x", "--sample 1e99"}) {
-            EXPECT_EQ(runCommand(std::string(bin) + " " + flags
-                                 + " >/dev/null 2>&1"),
-                      2)
-                << bin << " " << flags;
-        }
+             {"--setpoint ''", "--cores x", "--sample 1e99"})
+            cases.push_back({bin, flags});
+    }
+    cases.insert(cases.end(), {
+        {THERMCTL_SERVE_BIN, "--max-queue 0"},
+        {THERMCTL_SERVE_BIN, "--dispatchers x"},
+        {THERMCTL_SERVE_BIN, "--workers -1"},
+        {THERMCTL_SERVE_BIN, "--tcp 80x"},
+        {THERMCTL_SERVE_BIN, "--sndbuf ''"},
+        {THERMCTL_SERVE_BIN, "--watchdog-ms 1e3"},
+        {THERMCTL_CLIENT_BIN, "--retries 0"},
+        {THERMCTL_CLIENT_BIN, "--deadline 10ms"},
+        {THERMCTL_COORD_BIN, "--lease-ms x"},
+        {THERMCTL_COORD_BIN, "--max-attempts -1"},
+        {THERMCTL_COORD_BIN, "--seed 0x10"},
+        {THERMCTL_LOADGEN_BIN, "--rate 0"},
+        {THERMCTL_LOADGEN_BIN, "--conns 2.5"},
+        {THERMCTL_LOADGEN_BIN, "--duration 5s"},
+        {THERMCTL_LOADGEN_BIN, "--mix run=x"},
+        {THERMCTL_TRACE_BIN, "record --ops 12k"},
+        {THERMCTL_ANALYZE_BIN, "--pass no-such-pass"},
+    });
+    for (const Case &c : cases) {
+        EXPECT_EQ(runCommand("timeout 60 " + std::string(c.bin) + " "
+                             + c.args + " >/dev/null 2>&1"),
+                  2)
+            << c.bin << " " << c.args;
     }
 }
 

@@ -113,7 +113,7 @@ TEST(CrossModule, QuantizedCtLoopHoldsPlantAtSetpoint)
         const double duty = pid.update(y);
         toggler.setDuty(duty);
         // Realize the duty over one sampling period of plant time.
-        const double u = toggler.duty();
+        const double u = static_cast<double>(toggler.level()) / 7.0;
         for (int k = 0; k < 4; ++k)
             y = plant.stepState(y, u, cfg.dt / 4.0);
         if (i > steps / 2)

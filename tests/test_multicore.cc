@@ -564,7 +564,6 @@ TEST(MulticoreSimulator, RunsAndAggregatesSaneChipStats)
     cfg.multicore.num_cores = 2;
 
     MulticoreSimulator sim(cfg);
-    EXPECT_EQ(sim.numCores(), 2u);
     sim.warmUp(20000);
     sim.run(60000);
 
@@ -578,7 +577,7 @@ TEST(MulticoreSimulator, RunsAndAggregatesSaneChipStats)
     // Temperatures live in the physical band around the paper's base.
     EXPECT_GT(s.max_temperature.value(), 100.0);
     EXPECT_LT(s.max_temperature.value(), 125.0);
-    for (std::size_t c = 0; c < sim.numCores(); ++c) {
+    for (std::size_t c = 0; c < cfg.multicore.num_cores; ++c) {
         EXPECT_GE(sim.freqScale(c), 0.3);
         EXPECT_LE(sim.freqScale(c), 1.0);
     }
@@ -623,10 +622,19 @@ TEST(MulticoreSimulator, RejectsSingleCorePolicies)
 
 TEST(PolicyFactory, MulticoreNamesRoundTrip)
 {
-    EXPECT_TRUE(isMulticorePolicy(DtmPolicyKind::PerCorePid));
-    EXPECT_TRUE(isMulticorePolicy(DtmPolicyKind::AdjIntegral));
-    EXPECT_FALSE(isMulticorePolicy(DtmPolicyKind::PID));
-    EXPECT_FALSE(isMulticorePolicy(DtmPolicyKind::None));
+    // The multicore-only kinds pick the multicore engine even at one
+    // core; any kind does at two.
+    const auto needs = [](DtmPolicyKind kind, std::uint32_t cores) {
+        SimConfig cfg;
+        cfg.policy.kind = kind;
+        cfg.multicore.num_cores = cores;
+        return needsMulticoreEngine(cfg);
+    };
+    EXPECT_TRUE(needs(DtmPolicyKind::PerCorePid, 1));
+    EXPECT_TRUE(needs(DtmPolicyKind::AdjIntegral, 1));
+    EXPECT_FALSE(needs(DtmPolicyKind::PID, 1));
+    EXPECT_FALSE(needs(DtmPolicyKind::None, 1));
+    EXPECT_TRUE(needs(DtmPolicyKind::PID, 2));
 
     for (BudgetPolicy p :
          {BudgetPolicy::Uniform, BudgetPolicy::DemandProportional,
@@ -736,11 +744,10 @@ chipPoint(const char *bench, DtmPolicyKind kind, std::uint32_t cores)
     return cfg;
 }
 
-/** Run one multicore config through the engine's registered backend. */
+/** Run one multicore config through the engine (ExperimentRunner). */
 RunResult
 runChip(const SimConfig &cfg, const RunProtocol &proto)
 {
-    ensureBackendRegistered();
     return ExperimentRunner(proto).runOne(cfg.workload, cfg.policy, cfg);
 }
 

@@ -130,7 +130,6 @@ TEST(PidFuzz, OutputAlwaysWithinLimitsUnderRandomInputs)
             const double u = pid.update(rng.uniform(-200.0, 400.0));
             ASSERT_GE(u, 0.0);
             ASSERT_LE(u, 1.0);
-            ASSERT_EQ(u, pid.output());
         }
     }
 }

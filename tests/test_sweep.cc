@@ -21,6 +21,7 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/serialize.hh"
+#include "sim/experiment.hh"
 #include "sim/sweep.hh"
 #include "workload/spec_profiles.hh"
 
@@ -284,6 +285,46 @@ TEST(SweepEngine, ParallelResultsBitIdenticalToSerial)
     for (std::size_t i = 0; i < b1.size(); ++i) {
         EXPECT_EQ(b1[i], b8[i]) << "point " << r1.outcomes()[i].point.key;
         EXPECT_EQ(r1.outcomes()[i].point.key, r8.outcomes()[i].point.key);
+    }
+}
+
+TEST(SweepEngine, MulticorePointsNeedNoSetupCall)
+{
+    // Nothing in this binary prepares the multicore engine: a 2-core
+    // point and a 1-core percore-PID point both reach it through
+    // runOne, and the engine's results are runOne's, byte for byte.
+    std::vector<SweepPoint> points;
+    for (const auto &[kind, cores] :
+         {std::pair{DtmPolicyKind::PID, 2u},
+          std::pair{DtmPolicyKind::PerCorePid, 1u}}) {
+        SimConfig base;
+        base.multicore.num_cores = cores;
+        DtmPolicySettings policy;
+        policy.kind = kind;
+        SweepSpec spec;
+        spec.protocol(shortProtocol())
+            .base(base)
+            .workload(specProfile("186.crafty"))
+            .policy(policy);
+        SweepPoint pt = spec.points().front();
+        pt.index = points.size();
+        points.push_back(std::move(pt));
+    }
+
+    SweepOptions opts; // no cache
+    opts.jobs = 2;
+    const SweepResults res = SweepEngine(opts).run(points);
+    ASSERT_EQ(res.size(), 2u);
+    EXPECT_EQ(res.simulated(), 2u);
+    const ExperimentRunner runner(shortProtocol());
+    for (const SweepOutcome &oc : res.outcomes()) {
+        const SimConfig &cfg = oc.point.config;
+        EXPECT_TRUE(oc.error.empty()) << oc.error;
+        EXPECT_TRUE(needsMulticoreEngine(cfg)) << oc.point.key;
+        EXPECT_EQ(serializeRunResult(oc.result),
+                  serializeRunResult(
+                      runner.runOne(cfg.workload, cfg.policy, cfg)))
+            << oc.point.key;
     }
 }
 

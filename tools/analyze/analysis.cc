@@ -949,6 +949,27 @@ countsAsCaller(std::string_view rel)
 }
 
 /**
+ * How toks[k] can reference a member function: `own_files` for a use
+ * in its class's .hh/.cc, where a call `f(` or a qualified `::f` (a
+ * call or a pointer to member) counts; elsewhere only `.f(`, `->f(` and
+ * `::f` do (the tokenizer splits `->` into `-` `>`). A bare `f`, or
+ * `.f` not followed by `(`, is some other entity sharing the name.
+ */
+bool
+memberReference(const std::vector<Token> &toks, std::size_t k,
+                bool own_files)
+{
+    if (k >= 1 && isPunct(toks[k - 1], "::"))
+        return true;
+    if (k + 1 >= toks.size() || !isPunct(toks[k + 1], "("))
+        return false;
+    return own_files
+           || (k >= 1 && isPunct(toks[k - 1], "."))
+           || (k >= 2 && isPunct(toks[k - 1], ">")
+               && isPunct(toks[k - 2], "-"));
+}
+
+/**
  * The tokens of `toks` that name a function being defined rather than
  * use it: the name and its qualifiers (`Table::addRow`, both `Foo`s of
  * `Foo::Foo`, `Foo::~Foo`).
@@ -1019,9 +1040,18 @@ checkDeadSurface(const ProjectModel &model)
     std::vector<Finding> findings;
     for (const Header &h : headers) {
         const std::string &hh = files[h.hh].path;
+        const std::vector<Token> &hh_toks = files[h.hh].tokens;
         for (const DeclDef &d : h.symbols) {
+            // Classes and free functions are referenced by their bare
+            // name, member functions only as memberReference says.
+            const bool member = d.name.find(':') != std::string::npos
+                                && !isIdent(hh_toks[d.begin], "class")
+                                && !isIdent(hh_toks[d.begin], "struct");
             bool live = false, own_cc_use = false;
             for (const auto &[f, k] : uses.find(identifier(d))->second) {
+                const bool own = f == h.hh || f == h.cc;
+                if (member && !memberReference(files[f].tokens, k, own))
+                    continue;
                 if (f == h.hh)
                     live = live
                            || ((k < d.begin || k >= d.end)

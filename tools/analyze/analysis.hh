@@ -40,7 +40,8 @@
  *                              referenced outside its own .hh/.cc from
  *                              src, tools, bench, perf, examples,
  *                              tests/fuzz or tests/chaos (unit tests do
- *                              not count); otherwise it is "dead"
+ *                              not count), a member function only as
+ *                              `.f(`, `->f(` or `::f`; otherwise "dead"
  *                              (delete it) or, when its own .cc uses
  *                              it, "internal" (make it file-local or
  *                              private). Allowlist entries for it name

@@ -49,7 +49,6 @@
 
 #include "common/logging.hh"
 #include "grid_cli.hh"
-#include "multicore/multicore_sim.hh"
 #include "serve/scheduler.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
@@ -124,7 +123,6 @@ main(int argc, char **argv)
     }
 
     try {
-        multicore::ensureBackendRegistered();
         std::vector<SweepPoint> cells;
         for (const serve::PointSpec &cell : grid.points())
             cells.push_back(serve::resolvePoint(cell, base));
